@@ -73,7 +73,7 @@ def _deep_queue_program(n=2, messages=200, size=64):
     """One process fires every send back to back (no blocking receives
     between them), so its NIC queue goes hundreds of packets deep while
     the single mesh link drains slowly — the workload that made the old
-    O(total-queued) ``Engine.next_inject_time`` scan quadratic."""
+    O(total-queued) next-inject-time scan quadratic."""
     from repro.workloads.events import Program, RecvEvent, SendEvent
 
     sends = tuple(SendEvent(dest=1, size_bytes=size) for _ in range(messages))
@@ -84,9 +84,10 @@ def _deep_queue_program(n=2, messages=200, size=64):
 def test_idle_advance_deep_queues(show):
     """Exercise idle-cycle advancement against deep NIC queues.
 
-    ``Engine.next_inject_time`` now binary-searches one cached sorted
-    list per NIC instead of rebuilding a list over every queued packet
-    each stalled cycle, so this stays flat as queues deepen.
+    Queued inject times ride the engine's event queue as NIC wake-ups,
+    so idle-advance is one ``Engine.next_event_time()`` peek instead of
+    a scan over every queued packet each stalled cycle, and this stays
+    flat as queues deepen.
     """
     import time
 

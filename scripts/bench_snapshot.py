@@ -288,12 +288,11 @@ def _sweep_fanout_case():
     :func:`run_sweep_suite`'s single batched ``run_cells`` call, and
     through the pre-batching reference path — one :func:`run_sweep`
     per (topology, pattern) pair — each cold and again against its own
-    warm cache.  ``fanout_speedup`` is the warm-cache re-run ratio:
-    per-pair sweeps pay one worker-pool spawn per pair even for pure
-    cache hits, the batch pays one in total, so this ratio holds on
-    any machine.  The cold ratio is also recorded; it grows with core
-    count (per-pair sweeps stall the pool on each pair's slowest cell)
-    and is ~1 on a single-core runner.
+    warm cache.  ``fanout_speedup`` is the warm-cache re-run ratio; it
+    tends to ~1 because ``run_cells`` answers cache hits without a
+    worker pool on either path.  The cold ratio is also recorded; it
+    grows with core count (per-pair sweeps stall the pool on each
+    pair's slowest cell) and is ~1 on a single-core runner.
     """
     import hashlib
     import shutil

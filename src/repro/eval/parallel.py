@@ -3,10 +3,12 @@
 Every paper-shape experiment (Figures 7/8, the cross-workload study,
 the resilience campaigns) is a grid of independent *cells*: one
 (program, topology, config, fault-scenario) simulation each.  This
-module fans cells out over a :class:`~concurrent.futures.ProcessPoolExecutor`
-and backs them with a content-addressed on-disk result cache, so a
-re-run of an unchanged grid is nearly free and a changed grid only
-recomputes the cells it invalidated.
+module backs cells with a content-addressed on-disk result cache and
+fans the cache misses out over a
+:class:`~concurrent.futures.ProcessPoolExecutor`, so a re-run of an
+unchanged grid is nearly free (the coordinator answers every cell
+itself and starts no worker) and a changed grid only recomputes the
+cells it invalidated.
 
 Cache keying
 ------------
@@ -41,6 +43,7 @@ with golden fixtures.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import pickle
 import sys
@@ -127,21 +130,30 @@ class ResultCache:
 
     # -- result payloads (JSON) ---------------------------------------
 
-    def get_result(self, key: str) -> Optional[dict]:
-        path = self.results_dir / f"{key}.json"
-        try:
-            import json
+    @staticmethod
+    def _read_object(path: Path) -> Optional[dict]:
+        """The JSON object stored at ``path``, or ``None`` on a miss.
 
-            return json.loads(path.read_text(encoding="utf-8"))
+        A torn, unparsable or non-object entry (``[]``, ``"x"``,
+        ``null``) is corrupt: it is dropped and reads as a miss, so no
+        caller ever receives a payload that is not a dict.
+        """
+        try:
+            payload = json.loads(path.read_text(encoding="utf-8"))
         except FileNotFoundError:
             return None
         except (OSError, ValueError):
-            # A torn or corrupt entry is a miss; drop it.
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
+            payload = None
+        if isinstance(payload, dict):
+            return payload
+        try:
+            path.unlink()
+        except OSError:
+            pass
+        return None
+
+    def get_result(self, key: str) -> Optional[dict]:
+        return self._read_object(self.results_dir / f"{key}.json")
 
     def put_result(self, key: str, payload: dict) -> None:
         self._atomic_write(
@@ -153,19 +165,7 @@ class ResultCache:
 
     def get_bundle(self, key: str) -> Optional[dict]:
         """A completed job's result bundle, or ``None`` on a miss."""
-        path = self.jobs_dir / f"{key}.json"
-        try:
-            import json
-
-            return json.loads(path.read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError):
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
+        return self._read_object(self.jobs_dir / f"{key}.json")
 
     def put_bundle(self, key: str, bundle: dict) -> None:
         self._atomic_write(
@@ -242,8 +242,6 @@ class ResultCache:
         service-job ``bundles`` section enumerate what the totals are
         made of.
         """
-        import json
-
         counts = {
             "eval_results": 0,
             "eval_bytes": 0,
@@ -694,34 +692,37 @@ def print_progress(outcome: CellOutcome, index: int, total: int) -> None:
     print(f"[{index}/{total}] {outcome.label}: {status}", file=sys.stderr, flush=True)
 
 
-def _execute_cell(
-    cell: Cell, cache_root: Optional[str], obs: Optional[Observability] = None
-) -> CellOutcome:
-    """Run one cell (worker side): consult the cache, compute on miss.
+@dataclass(frozen=True)
+class _Miss:
+    """A cell the cache could not answer, keyed once by the coordinator."""
 
-    ``obs`` is only threaded on in-process (serial) execution — an
-    observability bundle cannot cross the process-pool boundary.
+    index: int
+    cell: Cell
+    key: str
+    lookup_s: float
+
+
+def _execute_cell(
+    miss: _Miss, cache_root: Optional[str], obs: Optional[Observability] = None
+) -> CellOutcome:
+    """Compute one cache miss and write it through to the cache.
+
+    Runs in a pool worker or, for serial runs and a lone miss, in
+    process.  The coordinator already keyed the cell and found no entry,
+    so this only computes and writes; the outcome's ``seconds`` includes
+    that lookup, so hits and misses time the same span of work.  ``obs``
+    is only threaded on in-process execution — an observability bundle
+    cannot cross the process-pool boundary.
     """
     started = time.perf_counter()
-    key = cell.key()
+    payload = miss.cell.compute(obs=obs)
     if cache_root is not None:
-        cached = ResultCache(cache_root).get_result(key)
-        if cached is not None:
-            return CellOutcome(
-                label=cell.label,
-                key=key,
-                cache_hit=True,
-                seconds=time.perf_counter() - started,
-                payload=cached,
-            )
-    payload = cell.compute(obs=obs)
-    if cache_root is not None:
-        ResultCache(cache_root).put_result(key, payload)
+        ResultCache(cache_root).put_result(miss.key, payload)
     return CellOutcome(
-        label=cell.label,
-        key=key,
+        label=miss.cell.label,
+        key=miss.key,
         cache_hit=False,
-        seconds=time.perf_counter() - started,
+        seconds=miss.lookup_s + time.perf_counter() - started,
         payload=payload,
     )
 
@@ -755,14 +756,18 @@ def run_cells(
     progress: Optional[ProgressCallback] = None,
     obs: Optional[Observability] = None,
 ) -> List[CellOutcome]:
-    """Execute every cell, serially or over a process pool.
+    """Execute every cell: cache hits in process, misses over a pool.
 
-    Returns outcomes in cell order regardless of completion order, so
-    callers build rows deterministically.  ``jobs=None`` (or 1) runs in
-    process — the reference path the determinism harness compares
-    against; ``jobs=N`` fans out over N workers; ``jobs<=0`` uses every
-    core.  ``obs`` records cache hit/miss counters and one span per
-    cell (coordinator side only — payloads are never touched, so
+    The coordinator keys each cell once and answers hits from the cache
+    itself, so a fully warm batch never starts a worker.  Misses run in
+    process when ``jobs=None`` (or 1) — the reference path the
+    determinism harness compares against — or when there is only one;
+    otherwise they fan out over ``min(jobs, misses)`` workers
+    (``jobs<=0`` means every core).  Returns outcomes in cell order
+    regardless of completion order, so callers build rows
+    deterministically; ``progress`` fires once per cell as it resolves,
+    hits first.  ``obs`` records cache hit/miss counters and one span
+    per cell (coordinator side only — payloads are never touched, so
     observability cannot perturb the determinism guarantee).
     """
     obs = obs if obs is not None else DISABLED
@@ -770,32 +775,44 @@ def run_cells(
     workers = resolve_jobs(jobs)
     total = len(cells)
     outcomes: List[Optional[CellOutcome]] = [None] * total
-    if workers is None or total <= 1:
-        for i, cell in enumerate(cells):
-            outcome = _execute_cell(cell, cache_root, obs=obs if obs.enabled else None)
-            outcomes[i] = outcome
-            if obs.enabled:
-                _observe_outcome(obs, outcome)
-            if progress is not None:
-                progress(outcome, i + 1, total)
-        return [o for o in outcomes if o is not None]
     done = 0
-    with ProcessPoolExecutor(max_workers=min(workers, total)) as pool:
-        futures = {
-            pool.submit(_execute_cell, cell, cache_root): i
-            for i, cell in enumerate(cells)
-        }
-        pending = set(futures)
-        while pending:
-            finished, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for fut in finished:
-                outcome = fut.result()
-                outcomes[futures[fut]] = outcome
-                done += 1
-                if obs.enabled:
-                    _observe_outcome(obs, outcome)
-                if progress is not None:
-                    progress(outcome, done, total)
+
+    def finish(index: int, outcome: CellOutcome) -> None:
+        nonlocal done
+        outcomes[index] = outcome
+        done += 1
+        if obs.enabled:
+            _observe_outcome(obs, outcome)
+        if progress is not None:
+            progress(outcome, done, total)
+
+    misses: List[_Miss] = []
+    for i, cell in enumerate(cells):
+        started = time.perf_counter()
+        key = cell.key()
+        cached = cache.get_result(key) if cache is not None else None
+        seconds = time.perf_counter() - started
+        if cached is None:
+            misses.append(_Miss(i, cell, key, seconds))
+        else:
+            finish(i, CellOutcome(cell.label, key, True, seconds, cached))
+    if workers is None or len(misses) <= 1:
+        for miss in misses:
+            finish(
+                miss.index,
+                _execute_cell(miss, cache_root, obs=obs if obs.enabled else None),
+            )
+    else:
+        with ProcessPoolExecutor(max_workers=min(workers, len(misses))) as pool:
+            futures = {
+                pool.submit(_execute_cell, miss, cache_root): miss.index
+                for miss in misses
+            }
+            pending = set(futures)
+            while pending:
+                finished, pending = wait(pending, return_when=FIRST_COMPLETED)
+                for fut in finished:
+                    finish(futures[fut], fut.result())
     return [o for o in outcomes if o is not None]
 
 

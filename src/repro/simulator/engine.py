@@ -277,30 +277,9 @@ class Engine:
         wake-up always corresponds to a still-queued packet (wakes fire
         at their inject cycle, and a packet cannot be dequeued before a
         visited cycle at or past its inject time), so this single peek
-        subsumes the old ``min(next_heap_time(), next_inject_time(t))``
-        idle-advance computation.
+        covers both in-flight traffic and queued injections.
         """
         return self._events.peek_time()
-
-    def next_heap_time(self) -> Optional[int]:
-        """Alias of :meth:`next_event_time` (pre-event-queue name)."""
-        return self._events.peek_time()
-
-    def next_inject_time(self, after: int) -> Optional[int]:
-        """Earliest queued inject time strictly greater than ``after``.
-
-        Each NIC keeps its queued inject times sorted, so this is a
-        binary search per NIC instead of a scan over every queued
-        packet.  Idle-advance no longer needs it (queued inject times
-        ride the event queue as NIC_WAKE events); kept for
-        introspection and tests.
-        """
-        best: Optional[int] = None
-        for nic in self.nics.values():
-            t = nic.next_inject_after(after)
-            if t is not None and (best is None or t < best):
-                best = t
-        return best
 
     def has_queued_packets(self) -> bool:
         return any(nic.queue or nic.streaming for nic in self.nics.values())

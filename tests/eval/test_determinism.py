@@ -137,6 +137,19 @@ class TestCacheKeys:
         assert not redone[0].cache_hit
         assert _payload_bytes(redone) == _payload_bytes(cold)
 
+    @pytest.mark.parametrize("text", ["[]", '"x"', "1", "null"])
+    def test_non_object_cache_entry_is_a_dropped_miss(self, setup, tmp_path, text):
+        cache = ResultCache(tmp_path / "cache")
+        cell = _grid_cells(setup)[0]
+        cold = run_cells([cell], cache=cache)
+        path = cache.results_dir / f"{cold[0].key}.json"
+        path.write_text(text, encoding="utf-8")
+        assert cache.get_result(cold[0].key) is None
+        assert not path.exists()
+        redone = run_cells([cell], cache=cache)
+        assert not redone[0].cache_hit
+        assert _payload_bytes(redone) == _payload_bytes(cold)
+
 
 class TestResilienceDeterminism:
     @pytest.mark.slow

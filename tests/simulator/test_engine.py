@@ -71,11 +71,9 @@ class TestSubmitAndStep:
 
     def test_next_times_for_idle_skip(self):
         engine, _ = _engine()
-        assert engine.next_heap_time() is None
-        assert engine.next_inject_time(0) is None
+        assert engine.next_event_time() is None
         engine.submit(source=0, dest=1, size_bytes=4, inject_cycle=500, seq=0)
-        assert engine.next_inject_time(0) == 500
-        assert engine.next_inject_time(500) is None  # strictly greater
+        assert engine.next_event_time() == 500
 
 
 class TestDeadlockRecovery:
