@@ -176,18 +176,36 @@ class ResultCache:
     # -- benchmark setups (pickle) ------------------------------------
 
     def get_setup(self, key: str):
+        """The cached :class:`~repro.eval.runner.BenchmarkSetup`, or ``None``.
+
+        A torn or unreadable pickle (including one from a newer pickle
+        protocol) or a pickle of anything but a setup is corrupt: it is
+        dropped and reads as a miss, like a non-object JSON result.
+        """
+        from repro.eval.runner import BenchmarkSetup
+
         path = self.setups_dir / f"{key}.pkl"
         try:
             with path.open("rb") as fh:
-                return pickle.load(fh)
+                setup = pickle.load(fh)
         except FileNotFoundError:
             return None
-        except (OSError, pickle.PickleError, EOFError, AttributeError, ImportError):
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
+        except (
+            OSError,
+            ValueError,
+            pickle.PickleError,
+            EOFError,
+            AttributeError,
+            ImportError,
+        ):
+            setup = None
+        if isinstance(setup, BenchmarkSetup):
+            return setup
+        try:
+            path.unlink()
+        except OSError:
+            pass
+        return None
 
     def put_setup(self, key: str, setup) -> None:
         self._atomic_write(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from repro.errors import FloorplanError
 from repro.floorplan.tiles import Cell, Corner, TileGrid, manhattan
@@ -78,8 +78,18 @@ class Floorplan:
 
 @dataclass
 class _Placement:
+    """One annealing state and its cached cost.
+
+    ``area`` and ``violations`` equal :func:`_link_area` and
+    :func:`_violations` of the state.  :class:`_Moves` keeps them
+    current; :func:`_repair` does not, so after the anneal only the
+    from-scratch functions are read.
+    """
+
     switch_corner: Dict[int, Corner]
     processor_cell: Dict[int, Cell]
+    area: int = 0
+    violations: int = 0
 
 
 def _violations(net: Network, grid: TileGrid, p: _Placement) -> int:
@@ -96,6 +106,131 @@ def _link_area(net: Network, p: _Placement) -> int:
         manhattan(p.switch_corner[link.u], p.switch_corner[link.v])
         for link in net.links
     )
+
+
+class _Moves:
+    """The annealer's energy and move set for one network on one grid.
+
+    The lookup tables are built once per :func:`place` call.  A move
+    copies the placement, changes it, and re-prices only what it
+    touched: the links incident to a moved switch, and the processors
+    whose tile changed or whose switch's corner changed.  Moves draw
+    the same random numbers, in the same order, over the same sorted
+    lists as pricing every state from scratch would, and every cost is
+    an integer, so the anneal takes the identical path.
+    """
+
+    def __init__(self, net: Network, grid: TileGrid) -> None:
+        self.num_processors = net.num_processors
+        self.switches = net.switches
+        self.corners = grid.corners()
+        self.cells = grid.cells()
+        self.corner_tiles = {c: sorted(grid.corner_cells(c)) for c in self.corners}
+        self.switch_of = [net.switch_of(p) for p in range(net.num_processors)]
+        self.procs_of = {s: sorted(net.processors_of(s)) for s in self.switches}
+        # Far endpoint of every link at each switch, once per parallel link.
+        self.link_ends: Dict[int, List[int]] = {s: [] for s in self.switches}
+        for link in net.links:
+            self.link_ends[link.u].append(link.v)
+            self.link_ends[link.v].append(link.u)
+
+    @staticmethod
+    def energy(p: _Placement) -> float:
+        return p.area + _PENALTY * p.violations
+
+    def neighbor(self, p: _Placement, rng: random.Random) -> _Placement:
+        """A new placement one random move away; ``p`` is not mutated."""
+        q = _Placement(
+            dict(p.switch_corner), dict(p.processor_cell), p.area, p.violations
+        )
+        switch: Optional[int] = None
+        moved: Iterable[int] = ()
+        roll = rng.random()
+        if roll < 0.35:
+            # Cluster move: relocate a switch together with its
+            # processors onto the tiles around a new corner, swapping
+            # cells with the displaced occupants.
+            switch = rng.choice(self.switches)
+            moved = self._move_cluster(q, switch, rng.choice(self.corners), rng)
+        elif roll < 0.6:
+            switch = rng.choice(self.switches)
+            q.switch_corner[switch] = rng.choice(self.corners)
+        elif roll < 0.9 and self.num_processors >= 2:
+            a, b = rng.sample(range(self.num_processors), 2)
+            q.processor_cell[a], q.processor_cell[b] = (
+                q.processor_cell[b],
+                q.processor_cell[a],
+            )
+            moved = (a, b)
+        else:
+            proc = rng.randrange(self.num_processors)
+            used = set(q.processor_cell.values())
+            free = [c for c in self.cells if c not in used]
+            if free:
+                q.processor_cell[proc] = rng.choice(free)
+                moved = (proc,)
+        self._reprice(p, q, switch, moved)
+        return q
+
+    def _move_cluster(
+        self, p: _Placement, switch: int, corner: Corner, rng: random.Random
+    ) -> List[int]:
+        """Relocate a switch and its processors around ``corner``, swapping
+        cells with the current occupants; returns the occupants displaced."""
+        p.switch_corner[switch] = corner
+        target_cells = list(self.corner_tiles[corner])
+        rng.shuffle(target_cells)
+        cell_owner = {cell: proc for proc, cell in p.processor_cell.items()}
+        displaced = []
+        for proc, target in zip(self.procs_of[switch], target_cells):
+            old_cell = p.processor_cell[proc]
+            if old_cell == target:
+                continue
+            other = cell_owner.get(target)
+            p.processor_cell[proc] = target
+            cell_owner[target] = proc
+            if other is not None and other != proc:
+                p.processor_cell[other] = old_cell
+                cell_owner[old_cell] = other
+                displaced.append(other)
+            else:
+                del cell_owner[old_cell]
+        return displaced
+
+    def _reprice(
+        self,
+        p: _Placement,
+        q: _Placement,
+        switch: Optional[int],
+        moved: Iterable[int],
+    ) -> None:
+        """Update ``q``'s cached cost from ``p``'s, given that ``q``
+        differs only in ``switch``'s corner and in the tiles of
+        ``moved`` and of ``switch``'s processors."""
+        touched = set(moved)
+        if switch is not None:
+            touched.update(self.procs_of[switch])
+            ox, oy = p.switch_corner[switch]
+            nx, ny = q.switch_corner[switch]
+            delta = 0
+            for other in self.link_ends[switch]:
+                x, y = q.switch_corner[other]
+                delta += abs(nx - x) + abs(ny - y) - abs(ox - x) - abs(oy - y)
+            q.area += delta
+        # Tile (i, j) touches corner (x, y) iff 0 <= x - i <= 1 and
+        # 0 <= y - j <= 1, i.e. TileGrid.touches for an in-grid tile.
+        delta = 0
+        for proc in touched:
+            s = self.switch_of[proc]
+            i, j = q.processor_cell[proc]
+            x, y = q.switch_corner[s]
+            if not (0 <= x - i <= 1 and 0 <= y - j <= 1):
+                delta += 1
+            i, j = p.processor_cell[proc]
+            x, y = p.switch_corner[s]
+            if not (0 <= x - i <= 1 and 0 <= y - j <= 1):
+                delta -= 1
+        q.violations += delta
 
 
 def place(
@@ -120,35 +255,7 @@ def place(
             f"{grid.width}x{grid.height} grid cannot hold "
             f"{network.num_processors} processors"
         )
-    def energy(p: _Placement) -> float:
-        return _link_area(network, p) + _PENALTY * _violations(network, grid, p)
-
-    def neighbor(p: _Placement, move_rng: random.Random) -> _Placement:
-        q = _Placement(dict(p.switch_corner), dict(p.processor_cell))
-        roll = move_rng.random()
-        if roll < 0.35:
-            # Cluster move: relocate a switch together with its
-            # processors onto the tiles around a new corner, swapping
-            # cells with the displaced occupants.
-            s = move_rng.choice(sorted(q.switch_corner))
-            _move_cluster(network, grid, q, s, move_rng.choice(grid.corners()), move_rng)
-        elif roll < 0.6:
-            s = move_rng.choice(sorted(q.switch_corner))
-            q.switch_corner[s] = move_rng.choice(grid.corners())
-        elif roll < 0.9 and network.num_processors >= 2:
-            a, b = move_rng.sample(range(network.num_processors), 2)
-            q.processor_cell[a], q.processor_cell[b] = (
-                q.processor_cell[b],
-                q.processor_cell[a],
-            )
-        else:
-            proc = move_rng.randrange(network.num_processors)
-            used = set(q.processor_cell.values())
-            free = [c for c in grid.cells() if c not in used]
-            if free:
-                q.processor_cell[proc] = move_rng.choice(free)
-        return q
-
+    moves = _Moves(network, grid)
     sched = schedule or AnnealSchedule(
         initial_temperature=8.0, cooling=0.96, steps=5000
     )
@@ -158,8 +265,8 @@ def place(
         rng = random.Random(seed * _RESTARTS + restart)
         initial = _initial_placement(network, grid, rng)
         sa = SimulatedAnnealing(
-            energy,
-            neighbor,
+            moves.energy,
+            moves.neighbor,
             sched,
             seed=seed * _RESTARTS + restart,
             obs=obs,
@@ -198,34 +305,6 @@ def place(
     )
 
 
-def _move_cluster(
-    net: Network,
-    grid: TileGrid,
-    p: _Placement,
-    switch: int,
-    corner: Corner,
-    rng: random.Random,
-) -> None:
-    """Relocate a switch and its processors around ``corner``, swapping
-    cells with the current occupants."""
-    p.switch_corner[switch] = corner
-    target_cells = sorted(grid.corner_cells(corner))
-    rng.shuffle(target_cells)
-    cell_owner = {cell: proc for proc, cell in p.processor_cell.items()}
-    for proc, target in zip(sorted(net.processors_of(switch)), target_cells):
-        old_cell = p.processor_cell[proc]
-        if old_cell == target:
-            continue
-        other = cell_owner.get(target)
-        p.processor_cell[proc] = target
-        cell_owner[target] = proc
-        if other is not None and other != proc:
-            p.processor_cell[other] = old_cell
-            cell_owner[old_cell] = other
-        else:
-            del cell_owner[old_cell]
-
-
 def _default_grid(num_processors: int) -> TileGrid:
     from repro.topology.builders import grid_dims
 
@@ -257,12 +336,21 @@ def _initial_placement(net: Network, grid: TileGrid, rng: random.Random) -> _Pla
     for proc in range(net.num_processors):
         if proc not in proc_cell:
             proc_cell[proc] = free.pop()
-    return _Placement(switch_corner=switch_corner, processor_cell=proc_cell)
+    p = _Placement(switch_corner=switch_corner, processor_cell=proc_cell)
+    p.area = _link_area(net, p)
+    p.violations = _violations(net, grid, p)
+    return p
 
 
 def _repair(net: Network, grid: TileGrid, p: _Placement) -> None:
-    """Greedy post-pass: move each switch to the corner minimizing its
-    violations, then swap offending processors toward their switches."""
+    """Greedy post-pass over the switch corners; processors stay put.
+
+    Each switch with processors moves to the corner its processors'
+    tiles touch most often, ties going to the least total Manhattan
+    distance to those tiles, then to the first such corner in
+    :meth:`TileGrid.corners` order.  The cached cost of ``p`` is not
+    updated.
+    """
     for s in net.switches:
         procs = sorted(net.processors_of(s))
         if not procs:

@@ -13,6 +13,7 @@ Regenerate the fixture after an *intentional* simulation change with::
 
 import json
 import os
+import pickle
 from pathlib import Path
 
 import pytest
@@ -149,6 +150,23 @@ class TestCacheKeys:
         redone = run_cells([cell], cache=cache)
         assert not redone[0].cache_hit
         assert _payload_bytes(redone) == _payload_bytes(cold)
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"\x80\x09future-protocol", pickle.dumps([1, 2])],
+        ids=["unsupported-protocol", "not-a-setup"],
+    )
+    def test_unusable_setup_entry_is_a_dropped_miss(self, setup, tmp_path, data):
+        cache = ResultCache(tmp_path / "cache")
+        task = SetupTask("cg", 8, seed=0)
+        path = cache.setups_dir / f"{task.key()}.pkl"
+        cache.put_setup(task.key(), setup)
+        path.write_bytes(data)
+        assert cache.get_setup(task.key()) is None
+        assert not path.exists()
+        rebuilt = prepare_setups([task], cache=cache)[task]
+        assert rebuilt.floorplan == setup.floorplan
+        assert path.exists()
 
 
 class TestResilienceDeterminism:
