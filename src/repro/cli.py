@@ -20,12 +20,6 @@ Commands:
   pattern on one topology: adaptive knee bisection, schema-versioned
   canonical-JSON curve artifact (see ``docs/SWEEPS.md``).
 * ``cache`` — inspect or clear the on-disk evaluation result cache.
-* ``serve`` — run the synthesis-as-a-service job API: an asyncio HTTP
-  server that canonicalizes workload specs to content-addressed job
-  keys, single-flights duplicate submissions, and serves byte-identical
-  result bundles (see ``docs/SERVICE.md``).
-* ``submit`` — submit one job to a running service and (by default)
-  wait for and print its result bundle.
 
 ``synthesize``, ``simulate`` and ``profile`` accept ``--trace``
 (``--trace-out`` for synthesize) and ``--metrics-out`` to export the
@@ -147,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="first seed of the portfolio grid (default: --seed)",
     )
     syn.add_argument(
-        "--objective", default="links", choices=("links", "switches", "avg-hops"),
+        "--objective", default=None, choices=("links", "switches", "avg-hops"),
         help="portfolio ranking objective (default links)",
     )
     syn.add_argument(
@@ -354,75 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_runner_options(swp)
     _add_obs_options(swp)
 
-    srv = sub.add_parser(
-        "serve", help="run the synthesis-as-a-service job API over HTTP"
-    )
-    srv.add_argument("--host", default="127.0.0.1")
-    srv.add_argument(
-        "--port", type=int, default=8787,
-        help="listening port (0 = ephemeral; default 8787)",
-    )
-    srv.add_argument(
-        "--workers", type=int, default=2, metavar="N",
-        help="concurrent job executions (default 2)",
-    )
-    srv.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes per job's cell grid "
-        "(1 = serial, 0 = all cores; default 1)",
-    )
-    srv.add_argument(
-        "--no-cache", action="store_true",
-        help="run without the on-disk result/bundle cache",
-    )
-    srv.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="result-cache directory (default .repro-cache)",
-    )
-    srv.add_argument(
-        "--port-file", default=None, metavar="PATH",
-        help="write the bound port to PATH once listening "
-        "(for scripts using --port 0)",
-    )
-
-    sbm = sub.add_parser(
-        "submit", help="submit a job to a running service"
-    )
-    sbm.add_argument(
-        "--url", default="http://127.0.0.1:8787",
-        help="service base URL (default http://127.0.0.1:8787)",
-    )
-    sbm.add_argument(
-        "--spec", default=None, metavar="PATH",
-        help="JSON job-spec file ('-' for stdin); without it the "
-        "synthesize flags below build the spec",
-    )
-    sbm.add_argument("--benchmark", default="cg", choices=("bt", "cg", "fft", "mg", "sp"))
-    sbm.add_argument("--nodes", type=int, default=16)
-    sbm.add_argument("--seed", type=int, default=0)
-    sbm.add_argument("--restarts", type=int, default=8)
-    sbm.add_argument("--max-degree", type=int, default=5)
-    sbm.add_argument(
-        "--portfolio", type=int, default=None, metavar="K",
-        help="synthesize a K-seed portfolio instead of one run",
-    )
-    sbm.add_argument(
-        "--no-wait", action="store_true",
-        help="print the submission receipt and return without polling",
-    )
-    sbm.add_argument(
-        "--poll", type=float, default=0.2, metavar="SECONDS",
-        help="status poll interval while waiting (default 0.2)",
-    )
-    sbm.add_argument(
-        "--timeout", type=float, default=600.0, metavar="SECONDS",
-        help="give up waiting after this long (default 600)",
-    )
-    sbm.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="write the result bundle to PATH instead of stdout",
-    )
-
     cache = sub.add_parser("cache", help="inspect or clear the result cache")
     cache.add_argument("action", choices=("info", "clear"))
     cache.add_argument(
@@ -446,6 +371,17 @@ def _cmd_synthesize(args) -> int:
     )
     from repro.workloads import benchmark, extract_pattern, read_trace
 
+    portfolio_only = [
+        flag
+        for flag, value in (
+            ("--objective", args.objective),
+            ("--seed-base", args.seed_base),
+            ("--target-objective", args.target_objective),
+        )
+        if value is not None
+    ]
+    if portfolio_only and args.portfolio is None:
+        raise ReproError(f"{', '.join(portfolio_only)} only apply with --portfolio")
     if args.benchmark:
         pattern = benchmark(args.benchmark, args.nodes).pattern
     else:
@@ -460,7 +396,7 @@ def _cmd_synthesize(args) -> int:
             config=PortfolioConfig(
                 size=args.portfolio,
                 seed_base=args.seed_base if args.seed_base is not None else args.seed,
-                objective=args.objective,
+                objective=args.objective or "links",
                 target_objective=args.target_objective,
             ),
             obs=obs,
@@ -719,70 +655,6 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_serve(args) -> int:
-    from repro.eval.parallel import DEFAULT_CACHE_DIR
-    from repro.service import ServiceConfig, run_serve
-
-    cache_dir = None if args.no_cache else (args.cache_dir or DEFAULT_CACHE_DIR)
-    config = ServiceConfig(
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        jobs=args.jobs,
-        cache_dir=cache_dir,
-    )
-    return run_serve(config, port_file=args.port_file)
-
-
-def _cmd_submit(args) -> int:
-    import json
-
-    from repro.service import ServiceClient
-
-    if args.spec is not None:
-        if args.spec == "-":
-            raw = json.load(sys.stdin)
-        else:
-            with open(args.spec, encoding="utf-8") as fh:
-                raw = json.load(fh)
-    else:
-        raw = {
-            "kind": "synthesize",
-            "benchmark": args.benchmark,
-            "nodes": args.nodes,
-            "seed": args.seed,
-            "restarts": args.restarts,
-            "max_degree": args.max_degree,
-        }
-        if args.portfolio is not None:
-            raw["portfolio"] = args.portfolio
-    client = ServiceClient(args.url, timeout=args.timeout)
-    receipt = client.submit(raw)
-    print(
-        f"job {receipt['job_id']} {receipt['state']} "
-        f"(dedupe: {receipt['dedupe']}, submissions: {receipt['submissions']})",
-        file=sys.stderr,
-    )
-    if args.no_wait:
-        print(json.dumps(receipt, sort_keys=True))
-        return 0
-    status = client.wait(
-        receipt["job_id"], poll_interval=args.poll, timeout=args.timeout
-    )
-    if status["state"] != "done":
-        print(f"error: job failed: {status['error']}", file=sys.stderr)
-        return 1
-    bundle = client.result_bytes(receipt["job_id"])
-    if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(bundle)
-        print(f"bundle written to {args.out}", file=sys.stderr)
-    else:
-        sys.stdout.buffer.write(bundle + b"\n")
-        sys.stdout.buffer.flush()
-    return 0
-
-
 def _cmd_cache(args) -> int:
     from repro.eval.parallel import DEFAULT_CACHE_DIR, ResultCache
 
@@ -804,7 +676,6 @@ def _cmd_cache(args) -> int:
         f"{stats['synthesis_bytes']} bytes)"
     )
     print(f"benchmark setups: {stats['setups']}")
-    print(f"job bundles: {stats['bundles']} ({stats['bundle_bytes']} bytes)")
     print(f"total size: {stats['bytes']} bytes")
     return 0
 
@@ -838,8 +709,6 @@ _COMMANDS = {
     "resilience": _cmd_resilience,
     "verify": _cmd_verify,
     "sweep": _cmd_sweep,
-    "serve": _cmd_serve,
-    "submit": _cmd_submit,
     "cache": _cmd_cache,
     "inspect": _cmd_inspect,
 }

@@ -47,7 +47,3 @@ class FloorplanError(ReproError):
 
 class FaultError(ReproError):
     """A fault specification or campaign is invalid for its network."""
-
-
-class ServiceError(ReproError):
-    """A job spec or service request is invalid (see :mod:`repro.service`)."""

@@ -117,11 +117,6 @@ class ResultCache:
     def setups_dir(self) -> Path:
         return self.root / "setups"
 
-    @property
-    def jobs_dir(self) -> Path:
-        """Completed service job bundles (see :mod:`repro.service`)."""
-        return self.root / "jobs"
-
     def _atomic_write(self, path: Path, data: bytes) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -159,18 +154,6 @@ class ResultCache:
         self._atomic_write(
             self.results_dir / f"{key}.json",
             canonical_json(payload).encode("utf-8"),
-        )
-
-    # -- service job bundles (JSON) -----------------------------------
-
-    def get_bundle(self, key: str) -> Optional[dict]:
-        """A completed job's result bundle, or ``None`` on a miss."""
-        return self._read_object(self.jobs_dir / f"{key}.json")
-
-    def put_bundle(self, key: str, bundle: dict) -> None:
-        self._atomic_write(
-            self.jobs_dir / f"{key}.json",
-            canonical_json(bundle).encode("utf-8"),
         )
 
     # -- benchmark setups (pickle) ------------------------------------
@@ -217,7 +200,7 @@ class ResultCache:
 
     def _entries(self) -> List[Path]:
         out: List[Path] = []
-        for d in (self.results_dir, self.setups_dir, self.jobs_dir):
+        for d in (self.results_dir, self.setups_dir):
             if d.is_dir():
                 out.extend(p for p in d.iterdir() if p.is_file())
         return out
@@ -256,9 +239,8 @@ class ResultCache:
         Result payloads are broken out by cell family: ``results`` /
         ``bytes`` stay the historical totals, while ``eval_results``,
         ``synthesis_results`` (with ``synthesis_ok`` /
-        ``synthesis_infeasible`` and ``synthesis_bytes``) and the
-        service-job ``bundles`` section enumerate what the totals are
-        made of.
+        ``synthesis_infeasible`` and ``synthesis_bytes``) enumerate what
+        the totals are made of.
         """
         counts = {
             "eval_results": 0,
@@ -267,8 +249,6 @@ class ResultCache:
             "synthesis_ok": 0,
             "synthesis_infeasible": 0,
             "synthesis_bytes": 0,
-            "bundles": 0,
-            "bundle_bytes": 0,
         }
         entries = self._entries()
         results = 0
@@ -278,10 +258,6 @@ class ResultCache:
                 setups += 1
                 continue
             size = path.stat().st_size
-            if path.parent == self.jobs_dir:
-                counts["bundles"] += 1
-                counts["bundle_bytes"] += size
-                continue
             results += 1
             try:
                 payload = json.loads(path.read_text(encoding="utf-8"))

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import time
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 # Chrome trace event phases used by the exporter.
 _PHASE_SPAN = "X"  # complete event (ts + dur)
@@ -26,31 +26,13 @@ _PHASE_INSTANT = "i"  # instant event
 
 
 class Tracer:
-    """Records spans and instant events on one logical thread.
+    """Records spans and instant events on one logical thread."""
 
-    ``sink``, when given, is invoked with each event dictionary the
-    moment it is recorded — the streaming hook the service layer uses
-    to forward a job's spans to its progress feed while the job is
-    still running (the buffered ``events`` list is unaffected).  Sink
-    exceptions are deliberately not swallowed: a broken sink is a
-    programming error, not an observability condition.
-    """
-
-    def __init__(
-        self,
-        enabled: bool = True,
-        sink: Optional[Callable[[dict], None]] = None,
-    ) -> None:
+    def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self.events: List[dict] = []
-        self.sink = sink
         self._origin = time.perf_counter()
         self._depth = 0
-
-    def _record(self, event: dict) -> None:
-        self.events.append(event)
-        if self.sink is not None:
-            self.sink(event)
 
     def _now(self) -> float:
         return time.perf_counter() - self._origin
@@ -69,7 +51,7 @@ class Tracer:
         finally:
             self._depth = depth
             end = self._now()
-            self._record(
+            self.events.append(
                 {
                     "type": "span",
                     "name": name,
@@ -86,7 +68,7 @@ class Tracer:
         if not self.enabled:
             return
         end = self._now()
-        self._record(
+        self.events.append(
             {
                 "type": "span",
                 "name": name,
@@ -103,7 +85,7 @@ class Tracer:
             return
         if cycle is not None:
             args = dict(args, cycle=cycle)
-        self._record(
+        self.events.append(
             {
                 "type": "instant",
                 "name": name,

@@ -126,10 +126,10 @@ class Engine:
         self.nics: Dict[int, Nic] = {}
         self._build_fabric(link_delays or {})
 
-        # The single event queue.  The engine never cancels events it
-        # schedules — killed packets' flits must still arrive so their
-        # buffer credits return through the normal path — so the
-        # dispatch loop may pop the raw heap without a tombstone check.
+        # The single event queue.  It has no cancellation — killed
+        # packets' flits must still arrive so their buffer credits
+        # return through the normal path — so the dispatch loop pops
+        # the raw heap directly.
         self._events = EventQueue()
         self._active_routers = _SortedIdSet()
         # Event-driven NIC stepping: a NIC is stepped only while in the

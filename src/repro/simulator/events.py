@@ -10,28 +10,23 @@ and documented in ``docs/SIMULATOR.md``):
 * events scheduled for the same time pop in insertion order — the
   sequence number is a single global counter, so the relative order of
   any two events is fixed at push time regardless of kind;
-* a cancelled event never pops.
+* every pushed event pops: the queue has no cancellation.
 
 The event *kind* is deliberately not part of the sort key: the
 pre-event-queue engine interleaved same-cycle flit and credit
 deliveries purely by push order, and byte identity requires preserving
 exactly that order.
 
-Cancellation is tombstone-based: :meth:`cancel` marks the sequence
-number and :meth:`pop`/:meth:`peek_time` discard marked entries
-lazily.  Only pending events may be cancelled (cancelling an
-already-popped sequence number would corrupt the length accounting).
-The engine itself never cancels: a killed packet's in-flight flits
-must still arrive and be dropped *at the receiver* so their buffer
-credits return through the normal path — cancelling them in the queue
-would leak credits.  The operation exists for schedulers layered on
-top of the queue (and is property-tested so they can rely on it).
+There is no cancellation because the engine must never drop a
+scheduled event: a killed packet's in-flight flits still arrive and are
+dropped *at the receiver*, so their buffer credits return through the
+normal path — removing them from the queue would leak credits.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
 # Event kinds.  Values are engine-internal; the queue itself orders
 # only on (time, seq) and treats the kind as payload.
@@ -45,47 +40,33 @@ Event = Tuple[int, int, int, object]  # (time, seq, kind, payload)
 class EventQueue:
     """Deterministic min-heap of ``(time, seq, kind, payload)`` events.
 
-    Hot loops may read the raw :attr:`_heap`/:attr:`_cancelled`
-    directly (the engine does) as long as they replicate the tombstone
-    skip; everyone else should stick to the methods.
+    Hot loops may pop the raw :attr:`_heap` directly (the engine does);
+    everyone else should stick to the methods.
     """
 
-    __slots__ = ("_heap", "_seq", "_cancelled")
+    __slots__ = ("_heap", "_seq")
 
     def __init__(self) -> None:
         self._heap: List[Event] = []
         self._seq = 0
-        self._cancelled: Set[int] = set()
 
     def push(self, time: int, kind: int, payload: object) -> int:
-        """Schedule an event; returns its sequence number (the
-        cancellation handle)."""
+        """Schedule an event; returns its sequence number."""
         seq = self._seq
         self._seq = seq + 1
         heapq.heappush(self._heap, (time, seq, kind, payload))
         return seq
 
-    def cancel(self, seq: int) -> None:
-        """Tombstone a *pending* event so it never pops."""
-        self._cancelled.add(seq)
-
-    def _discard_cancelled(self) -> None:
-        heap, cancelled = self._heap, self._cancelled
-        while heap and heap[0][1] in cancelled:
-            cancelled.discard(heapq.heappop(heap)[1])
-
     def peek_time(self) -> Optional[int]:
         """Time of the earliest pending event, or ``None``."""
-        self._discard_cancelled()
         return self._heap[0][0] if self._heap else None
 
     def pop(self) -> Optional[Event]:
         """Remove and return the earliest pending event, or ``None``."""
-        self._discard_cancelled()
         return heapq.heappop(self._heap) if self._heap else None
 
     def __len__(self) -> int:
-        return len(self._heap) - len(self._cancelled)
+        return len(self._heap)
 
     def __bool__(self) -> bool:
-        return len(self._heap) > len(self._cancelled)
+        return bool(self._heap)

@@ -49,10 +49,6 @@ class Packet:
     delivered: bool = False
     flits_sent: int = 0
 
-    @property
-    def all_flits_sent(self) -> bool:
-        return self.flits_sent >= self.num_flits
-
 
 class Flit:
     """One flit of a packet.

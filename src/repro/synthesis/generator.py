@@ -93,16 +93,6 @@ class GeneratedDesign:
     def num_links(self) -> int:
         return self.network.num_links
 
-    def routing_for(self, pattern: CommunicationPattern) -> RoutingBase:
-        """Routing covering an arbitrary pattern on this network.
-
-        Communications the network was designed for keep their
-        synthesized routes; any others (e.g. when replaying a different
-        benchmark's trace, Section 4.2's cross-workload study) fall back
-        to deterministic shortest paths.
-        """
-        return self.topology.routing
-
 
 class FallbackRouting(RoutingBase):
     """Synthesized table routes with shortest-path fallback."""

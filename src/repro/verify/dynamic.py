@@ -6,7 +6,8 @@ the pattern's messages into the engine at cycle times that preserve the
 pattern's overlap structure — messages that overlap in the pattern may
 coexist in the network, messages that don't are spaced far enough apart
 that the earlier one has fully drained — and reports the engine's
-contention and deadlock counters.  :func:`cross_validate` then asserts:
+contention and deadlock counters.  :func:`cross_validate` then asserts
+(via :func:`replay_mismatches`, which checks an existing report):
 
 * a network certified **contention-free** replays with zero
   :attr:`~repro.simulator.engine.Engine.contention_stalls` (no packet
@@ -159,11 +160,21 @@ def cross_validate(
     """Replay the pattern and compare the engine against the certificate.
 
     Returns the replay report plus a list of human-readable mismatch
-    descriptions (empty when the static and dynamic views agree).  Only
-    certified properties are asserted: an uncertified network is
-    allowed to stall or recover.
+    descriptions from :func:`replay_mismatches` (empty when the static
+    and dynamic views agree).
     """
     report = replay_pattern(topology, pattern, config=config, link_delays=link_delays)
+    return report, replay_mismatches(certificate, report)
+
+
+def replay_mismatches(
+    certificate: NetworkCertificate, report: ReplayReport
+) -> List[str]:
+    """Where a replay contradicts the certificate (empty on agreement).
+
+    Only certified properties are asserted: an uncertified network is
+    allowed to stall or recover.
+    """
     mismatches: List[str] = []
     if report.delivered_packets != report.messages:
         mismatches.append(
@@ -184,7 +195,7 @@ def cross_validate(
             f"certified deadlock-free but {report.retransmissions} packets "
             "were killed and retransmitted"
         )
-    return report, mismatches
+    return mismatches
 
 
 def _max_route_hops(topology: Topology, pattern: CommunicationPattern) -> int:

@@ -4,7 +4,7 @@ One shared definition of every workload the event-queue engine must
 reproduce *byte-identically*: trace replays (bench cases, fault
 campaigns, link-delay variants), the full certificate verify corpus
 (every NAS benchmark at both paper scales on generated/mesh/torus),
-and open-loop load points.  Two consumers read it:
+and open-loop load points.  Three consumers read it:
 
 * ``scripts/gen_simulator_golden.py`` — regenerates the committed
   oracle under ``tests/simulator/golden/`` (first frozen from the
@@ -13,7 +13,9 @@ and open-loop load points.  Two consumers read it:
 * ``tests/simulator/test_event_queue_diff.py`` — replays every case
   through the current engine and asserts canonical-JSON equality
   against the goldens, which are the sole oracle now that the vendored
-  pre-rewrite ``legacy_engine`` has been retired.
+  pre-rewrite ``legacy_engine`` has been retired;
+* ``tests/verify/test_dynamic.py`` — checks each verify-corpus
+  certificate against the same replay report the golden test compared.
 
 Every runner takes the simulate/replay/open-loop callable as an
 argument so the same case definitions can drive any engine
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs import enabled_observability
 from repro.eval.serialize import loadpoint_to_dict, result_to_dict
@@ -247,8 +249,22 @@ def verify_corpus_cases() -> Tuple[ReplayCase, ...]:
     return tuple(cases)
 
 
+#: Replay reports by (case name, replay callable).  The golden test and
+#: the certificate cross-validation in ``tests/verify/test_dynamic.py``
+#: read the same report, so each case replays once per test run.
+_REPLAY_REPORTS: Dict[Tuple[str, Callable], Any] = {}
+
+
+def replay_case_report(case: ReplayCase, replay_fn: Callable):
+    """``replay_fn(**case.build())``, computed once per process."""
+    key = (case.name, replay_fn)
+    if key not in _REPLAY_REPORTS:
+        _REPLAY_REPORTS[key] = replay_fn(**case.build())
+    return _REPLAY_REPORTS[key]
+
+
 def run_replay_case(case: ReplayCase, replay_fn: Callable) -> dict:
-    return asdict(replay_fn(**case.build()))
+    return asdict(replay_case_report(case, replay_fn))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,10 @@
 """Property tests for the simulator's global event queue.
 
-The engine's byte-identity guarantee rests on three invariants of
+The engine's byte-identity guarantee rests on two invariants of
 :class:`repro.simulator.events.EventQueue` (see docs/SIMULATOR.md):
-pops never go backwards in time, same-time events pop in insertion
+pops never go backwards in time, and same-time events pop in insertion
 order (one global sequence counter, so source ordering is fixed at
-push time), and a cancelled event never fires.  Hypothesis drives
-random push/pop/cancel interleavings at them.
+push time).  Hypothesis drives random push/pop interleavings at them.
 """
 
 import pytest
@@ -43,25 +42,6 @@ class TestBasics:
         assert q.pop() == (7, seq, CREDIT, ("cid", 1))
         assert q.pop() is None
 
-    def test_cancelled_head_is_skipped(self):
-        q = EventQueue()
-        first = q.push(1, FLIT, "a")
-        q.push(2, FLIT, "b")
-        q.cancel(first)
-        assert len(q) == 1
-        assert q.peek_time() == 2
-        assert q.pop()[3] == "b"
-        assert not q
-
-    def test_cancel_all_empties_queue(self):
-        q = EventQueue()
-        seqs = [q.push(t, FLIT, t) for t in (3, 1, 2)]
-        for seq in seqs:
-            q.cancel(seq)
-        assert not q
-        assert len(q) == 0
-        assert q.peek_time() is None
-        assert q.pop() is None
 
 
 class TestProperties:
@@ -97,45 +77,24 @@ class TestProperties:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        events=st.lists(st.tuples(times, kinds), min_size=1, max_size=64),
-        cancel_mask=st.lists(st.booleans(), min_size=64, max_size=64),
-    )
-    def test_cancelled_events_never_fire(self, events, cancel_mask):
-        q = EventQueue()
-        seqs = [q.push(time, kind, idx) for idx, (time, kind) in enumerate(events)]
-        cancelled = {
-            seq for seq, flag in zip(seqs, cancel_mask) if flag
-        }
-        for seq in cancelled:
-            q.cancel(seq)
-        assert len(q) == len(events) - len(cancelled)
-        survivors = []
-        while q:
-            survivors.append(q.pop()[1])
-        assert set(survivors).isdisjoint(cancelled)
-        assert set(survivors) == set(seqs) - cancelled
-
-    @settings(max_examples=200, deadline=None)
-    @given(
         ops=st.lists(
             st.one_of(
                 st.tuples(st.just("push"), times),
                 st.tuples(st.just("pop"), st.just(0)),
-                st.tuples(st.just("cancel"), st.integers(0, 63)),
             ),
             max_size=80,
         )
     )
     def test_interleaved_ops_match_reference_model(self, ops):
-        """Under any interleaving of push/pop/cancel, the queue agrees
-        with a naive dict-of-pending reference model."""
+        """Under any interleaving of push/pop, the queue agrees with a
+        naive dict-of-pending reference model."""
         q = EventQueue()
         pending = {}  # seq -> time
         for op, arg in ops:
             if op == "push":
                 seq = q.push(arg, FLIT, None)
                 pending[seq] = arg
-            elif op == "pop":
+            else:
                 event = q.pop()
                 if pending:
                     expected = min(pending.items(), key=lambda kv: (kv[1], kv[0]))
@@ -144,12 +103,6 @@ class TestProperties:
                     del pending[expected[0]]
                 else:
                     assert event is None
-            else:  # cancel the arg-th pending event, if any
-                live = sorted(pending)
-                if live:
-                    seq = live[arg % len(live)]
-                    q.cancel(seq)
-                    del pending[seq]
             assert len(q) == len(pending)
             expected_peek = min(pending.values()) if pending else None
             assert q.peek_time() == expected_peek

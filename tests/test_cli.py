@@ -68,8 +68,30 @@ class TestPortfolioSynthesis:
         args = build_parser().parse_args(["synthesize", "--benchmark", "cg"])
         assert args.portfolio is None
         assert args.seed_base is None
-        assert args.objective == "links"
+        assert args.objective is None
         assert args.target_objective is None
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--objective", "avg-hops"],
+            ["--seed-base", "5"],
+            ["--target-objective", "3"],
+            ["--objective", "avg-hops", "--seed-base", "5",
+             "--target-objective", "3"],
+        ],
+    )
+    def test_portfolio_only_flags_need_portfolio(self, flags, capsys):
+        rc = main(
+            ["synthesize", "--benchmark", "cg", "--nodes", "8", "--no-cache"]
+            + flags
+        )
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert "--portfolio" in captured.err
+        for flag in flags[::2]:
+            assert flag in captured.err
 
     def test_portfolio_prints_run_table_and_winner(self, capsys):
         rc = main(
@@ -295,60 +317,8 @@ class TestSweepCommand:
         assert "unknown pattern" in err
 
 
-class TestServeSubmitCommands:
-    def test_serve_parser_defaults(self):
-        args = build_parser().parse_args(["serve"])
-        assert args.host == "127.0.0.1"
-        assert args.port == 8787
-        assert args.workers == 2
-        assert args.port_file is None
-        assert not args.no_cache
-
-    def test_submit_parser_defaults(self):
-        args = build_parser().parse_args(["submit"])
-        assert args.url == "http://127.0.0.1:8787"
-        assert args.spec is None
-        assert args.benchmark == "cg"
-        assert not args.no_wait
-
-    def test_submit_against_live_service(self, tmp_path, monkeypatch, capsys):
-        import json
-
-        import repro.service.manager as manager_mod
-        from repro.service import ServiceConfig, ServiceThread
-
-        def fake(spec, cache=None, jobs=None, progress=None, obs=None):
-            return {"schema": 1, "kind": spec["kind"], "spec": dict(spec)}
-
-        monkeypatch.setattr(manager_mod, "execute_spec", fake)
-        spec_file = tmp_path / "spec.json"
-        spec_file.write_text(
-            json.dumps({"kind": "synthesize", "benchmark": "cg", "nodes": 8})
-        )
-        out_file = tmp_path / "bundle.json"
-        with ServiceThread(ServiceConfig(port=0, cache_dir=None)) as svc:
-            rc = main(
-                [
-                    "submit", "--url", svc.base_url, "--spec", str(spec_file),
-                    "--out", str(out_file),
-                ]
-            )
-            err = capsys.readouterr().err
-            assert rc == 0
-            assert "dedupe: miss" in err
-            bundle = json.loads(out_file.read_bytes())
-            assert bundle["kind"] == "synthesize"
-
-    def test_submit_unreachable_service_is_clean_error(self, capsys):
-        rc = main(
-            ["submit", "--url", "http://127.0.0.1:9", "--no-wait"]
-        )
-        assert rc == 1
-        assert "cannot reach service" in capsys.readouterr().err
-
-
 class TestCacheCommand:
-    def test_info_enumerates_synthesis_and_bundles(self, tmp_path, capsys):
+    def test_info_enumerates_synthesis_payloads(self, tmp_path, capsys):
         from repro.eval.parallel import ResultCache, SynthesisCell, run_cells
         from repro.synthesis import DesignConstraints
         from repro.workloads import benchmark
@@ -364,12 +334,10 @@ class TestCacheCommand:
             ],
             cache=cache,
         )
-        cache.put_bundle("a" * 64, {"schema": 1})
         rc = main(["cache", "info", "--cache-dir", str(tmp_path)])
         out = capsys.readouterr().out
         assert rc == 0
         assert "synthesis: 1 (1 designs, 0 infeasible seeds" in out
-        assert "job bundles: 1" in out
         assert "evaluation: 0" in out
 
     def test_clear_reports_removed_count(self, tmp_path, capsys):

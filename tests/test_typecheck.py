@@ -2,12 +2,11 @@
 
 CI installs mypy via the ``test`` extra and this test gates the
 annotations of ``repro.sweeps``, ``repro.simulator.openloop``,
-``repro.synthesis``, ``repro.service`` and ``repro.eval.parallel``
-(the modules whose signatures the sweep artifacts, the portfolio
-cache keys and the service job keys depend on).  The local toolchain
-may not carry mypy — the test skips rather than fails, so a plain
-``pytest`` run never needs network access.  Scope and strictness live
-in ``[tool.mypy]`` in ``pyproject.toml``.
+``repro.synthesis`` and ``repro.eval.parallel`` (the modules whose
+signatures the sweep artifacts and the portfolio cache keys depend
+on).  The local toolchain may not carry mypy — the test skips rather
+than fails, so a plain ``pytest`` run never needs network access.
+Scope and strictness live in ``[tool.mypy]`` in ``pyproject.toml``.
 """
 
 import subprocess
@@ -25,7 +24,6 @@ SPOT_CHECK = (
     "src/repro/simulator/openloop.py",
     "src/repro/synthesis",
     "src/repro/eval/parallel.py",
-    "src/repro/service",
 )
 
 

@@ -7,7 +7,9 @@ from repro.model import CommunicationPattern, Message
 from repro.simulator.config import SimConfig
 from repro.topology.builders import mesh
 from repro.verify import certify, cross_validate, injection_scale, replay_pattern
+from repro.verify.dynamic import replay_mismatches
 from repro.workloads.nas import BENCHMARK_NAMES, PAPER_LARGE_SIZE, PAPER_SMALL_SIZES
+from tests.simulator import diff_corpus
 
 
 def _pattern(messages, name="replay-pattern"):
@@ -86,7 +88,14 @@ class TestCrossValidation:
 
 @pytest.mark.slow
 class TestCorpusCrossValidation:
-    """Acceptance sweep: every NAS benchmark at both paper scales."""
+    """Acceptance sweep: every NAS benchmark at both paper scales.
+
+    The replays are the differential corpus's (same setup, default
+    ``SimConfig`` and link delays), shared with the golden replay test
+    so each case replays once per test run.
+    """
+
+    CASES = {case.name: case for case in diff_corpus.verify_corpus_cases()}
 
     @pytest.mark.parametrize("name", BENCHMARK_NAMES)
     @pytest.mark.parametrize("size", ["small", "large"])
@@ -99,8 +108,8 @@ class TestCorpusCrossValidation:
             assert cert.deadlock_free, f"{name}-{n}-{kind} not deadlock-free"
             if kind == "generated":
                 assert cert.contention_free, f"{name}-{n} generated contends"
-            _, mismatches = cross_validate(
-                cert, top, setup.benchmark.pattern,
-                link_delays=setup.link_delays(kind),
+            report = diff_corpus.replay_case_report(
+                self.CASES[f"{name}-{n}-{kind}"], replay_pattern
             )
+            mismatches = replay_mismatches(cert, report)
             assert mismatches == [], f"{name}-{n}-{kind}: {mismatches}"
