@@ -5,7 +5,7 @@ The subsystem is zero-dependency and off by default.  Hot layers
 :class:`Observability` bundle; when none is supplied they run with the
 shared :data:`DISABLED` bundle, whose instruments are no-ops, and gate
 their per-cycle work on ``obs.enabled`` so the disabled overhead stays
-within the <2% budget pinned by ``bench_simulator.py``.
+within a <2% budget.
 
 Determinism contract: every metric value is derived from simulated
 state (cycles, counts, energies).  Wall-clock data is confined to

@@ -5,8 +5,7 @@ registry hands out shared null instruments whose mutators are no-ops,
 so instrumented code can keep unconditional ``counter.inc()`` calls on
 warm paths; truly hot paths (per-flit, per-cycle) should additionally
 gate on ``registry.enabled`` or a cached boolean, which is how the
-simulator engine keeps the disabled overhead under the 2% budget of
-``bench_simulator.py``.
+simulator engine keeps the disabled overhead under a 2% budget.
 
 Determinism: every value recorded through this module must be derived
 from simulated state (cycles, counts, energies) — never from the wall

@@ -51,7 +51,6 @@ class ColorMemo:
     __slots__ = (
         "max_cliques",
         "maxsize",
-        "enabled",
         "fast_hits",
         "fast_misses",
         "exact_hits",
@@ -65,7 +64,6 @@ class ColorMemo:
     ) -> None:
         self.max_cliques = max_cliques
         self.maxsize = maxsize
-        self.enabled = True
         self.fast_hits = 0
         self.fast_misses = 0
         self.exact_hits = 0
@@ -77,8 +75,6 @@ class ColorMemo:
 
     def fast_directional(self, comms: AbstractSet[Communication]) -> int:
         """Memoized ``max_K |K ∩ comms|`` over the pattern's cliques."""
-        if not self.enabled:
-            return fast_color_directional(comms, self.max_cliques)
         key = comms if type(comms) is frozenset else frozenset(comms)
         cached = self._fast.get(key)
         if cached is not None:
@@ -109,17 +105,14 @@ class ColorMemo:
         """:meth:`fast` for already-frozen directional sets — the
         estimate-refresh hot path, with the per-direction lookups
         inlined."""
-        if not self.enabled:
-            return max(
-                fast_color_directional(forward, self.max_cliques),
-                fast_color_directional(backward, self.max_cliques),
-            )
         cache = self._fast
         a = cache.get(forward)
         if a is None:
             self.fast_misses += 1
             a = fast_color_directional(forward, self.max_cliques)
             cache[forward] = a
+            if len(cache) > self.maxsize:
+                del cache[next(iter(cache))]
         else:
             self.fast_hits += 1
         b = cache.get(backward)
@@ -143,8 +136,6 @@ class ColorMemo:
         Returns ``(chromatic number, coloring)``; the coloring is a
         fresh dict per call so callers may store or mutate it freely.
         """
-        if not self.enabled:
-            return exact_coloring(build_conflict_graph(comms, self.max_cliques))
         key = comms if type(comms) is frozenset else frozenset(comms)
         cached = self._exact.get(key)
         if cached is not None:

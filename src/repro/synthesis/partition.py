@@ -125,8 +125,6 @@ class Partitioner:
         anneal: bool = False,
         anneal_schedule: Optional[AnnealSchedule] = None,
         obs: Optional[Observability] = None,
-        transactional: bool = True,
-        memoize: bool = True,
     ) -> None:
         self.analysis = analysis
         self.constraints = constraints or DesignConstraints()
@@ -137,13 +135,6 @@ class Partitioner:
         # without one keeps the historical default parameters.
         self.anneal = anneal or anneal_schedule is not None
         self.anneal_schedule = anneal_schedule
-        # A/B knobs for the hot-path machinery: ``transactional=False``
-        # evaluates moves on deep snapshot copies and ``memoize=False``
-        # recomputes every coloring — the pre-optimization behavior,
-        # kept so benchmarks and equivalence tests can pin the speedup
-        # and the byte-identity of results.
-        self.transactional = transactional
-        self.memoize = memoize
         self.obs = obs if obs is not None else DISABLED
         self.rng = random.Random(seed)
         # Each bisection adds a switch; N-1 splits reach one processor
@@ -155,8 +146,6 @@ class Partitioner:
         """Execute the algorithm until constraints hold or splitting is
         exhausted; raises :class:`SynthesisError` when infeasible."""
         state = SynthesisState.initial(self.analysis)
-        state.transactional = self.transactional
-        state.color_memo.enabled = self.memoize
         result = PartitionResult(state=state, pipe_finals={})
         metrics = self.obs.metrics
         tracer = self.obs.tracer

@@ -1,7 +1,7 @@
 """Synthetic pattern generators: random permutations, hotspots, etc.
 
-Used by scaling benchmarks and property tests to exercise the
-methodology on patterns beyond the NAS suite.
+Used by the property tests to exercise the methodology on patterns
+beyond the NAS suite.
 """
 
 from __future__ import annotations

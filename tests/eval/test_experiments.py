@@ -21,6 +21,11 @@ def cg8():
     return prepare("cg", 8, seed=0)
 
 
+@pytest.fixture(scope="module")
+def cg8_results(cg8):
+    return run_performance(cg8, config=SimConfig(max_cycles=5_000_000))
+
+
 class TestPaperSizes:
     def test_small_sizes(self):
         sizes = paper_sizes("small")
@@ -55,19 +60,17 @@ class TestPrepare:
 
 
 class TestRunPerformance:
-    def test_all_topologies_simulated(self, cg8):
-        results = run_performance(cg8, config=SimConfig(max_cycles=5_000_000))
-        assert set(results) == {"crossbar", "mesh", "torus", "generated"}
+    def test_all_topologies_simulated(self, cg8, cg8_results):
+        assert set(cg8_results) == {"crossbar", "mesh", "torus", "generated"}
         sent = cg8.benchmark.program.total_messages
-        for r in results.values():
+        for r in cg8_results.values():
             assert r.delivered_packets == sent
 
-    def test_crossbar_is_never_beaten_significantly(self, cg8):
+    def test_crossbar_is_never_beaten_significantly(self, cg8_results):
         """The non-blocking crossbar is the ideal network: nothing
         should beat it by more than scheduling noise."""
-        results = run_performance(cg8, config=SimConfig(max_cycles=5_000_000))
-        base = results["crossbar"].execution_cycles
-        for kind, r in results.items():
+        base = cg8_results["crossbar"].execution_cycles
+        for kind, r in cg8_results.items():
             assert r.execution_cycles >= 0.98 * base, kind
 
 

@@ -1,4 +1,4 @@
-"""Property tests for the transactional synthesis-state hot path.
+"""Property tests for the undo-log synthesis-state hot path.
 
 Three contracts the hot-path overhaul rests on, checked over random
 patterns and operation sequences:
