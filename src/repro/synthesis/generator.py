@@ -120,9 +120,6 @@ def generate_network(
     moves: bool = True,
     obs: Optional[Observability] = None,
     anneal_schedule: Optional[AnnealSchedule] = None,
-    portfolio: Optional[int] = None,
-    jobs: Optional[int] = None,
-    cache: Optional[object] = None,
 ) -> GeneratedDesign:
     """Run the full design methodology on a communication pattern.
 
@@ -144,15 +141,6 @@ def generate_network(
             each bisection under this schedule (the paper's "simulated
             annealing technique"; ``None`` keeps the Appendix's greedy
             walk only).
-        portfolio: fan ``portfolio`` independent seeded runs (seeds
-            ``seed .. seed+portfolio-1``, one restart each) through the
-            cached eval runner instead of looping restarts in process;
-            the winner is selected deterministically — see
-            :func:`repro.synthesis.portfolio.synthesize_portfolio`.
-        jobs: worker count for the portfolio fan-out (``None``/1 serial,
-            ``<=0`` all cores); only meaningful with ``portfolio``.
-        cache: optional :class:`repro.eval.parallel.ResultCache` backing
-            the portfolio's synthesis cells.
 
     Returns:
         The best design found, by (total links, switch count).
@@ -160,24 +148,6 @@ def generate_network(
     if restarts < 1:
         raise SynthesisError(f"need at least one restart, got {restarts}")
     obs = obs if obs is not None else DISABLED
-    if portfolio is not None:
-        from repro.synthesis.portfolio import PortfolioConfig, synthesize_portfolio
-
-        config = PortfolioConfig(
-            size=portfolio,
-            seed_base=seed,
-            schedules=(anneal_schedule,),
-            reroute=reroute,
-            moves=moves,
-        )
-        return synthesize_portfolio(
-            pattern,
-            constraints=constraints,
-            config=config,
-            jobs=jobs,
-            cache=cache,
-            obs=obs,
-        ).design
     constraints = constraints or DesignConstraints()
     with obs.tracer.span("synthesis.analyze", pattern=pattern.name):
         analysis = CliqueAnalysis.of(pattern)

@@ -1,5 +1,6 @@
 """Integration: the robustness-study script's core loop."""
 
+import hashlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -43,8 +44,20 @@ class TestRunStudy:
 
     @pytest.mark.slow
     def test_full_smoke_topologies_include_generated_variants(self, study_module):
+        from repro.sweeps import SweepResult
+
         result = study_module.run_study("cg", 8, smoke=True, jobs=0)
         assert set(result.topology_labels) == {
             "generated", "generated-spare", "mesh", "torus",
         }
         assert len(result.patterns) >= 6
+        # Pins the retired benchmark gate's suite-fanout-smoke case,
+        # which hashed the same 36 curves under the label "bench-fanout".
+        assert len(result.curves) == 36
+        assert hashlib.sha256(result.to_json().encode()).hexdigest() == (
+            "b37a5b4f772b9ba6ddc3f48ec4bb96f8d506e526fea7a143fa5f127ddf69f1b9"
+        )
+        relabelled = SweepResult(label="bench-fanout", curves=result.curves)
+        assert hashlib.sha256(relabelled.to_json().encode()).hexdigest() == (
+            "2c34017258c88fa85f11f717416137e1a98ce33a20dc05707e6b5bcc1a0dfc57"
+        )

@@ -6,8 +6,8 @@ cross-workload`` print, or a result of an extension study (energy,
 multi-application design, ablations, open-loop load, link faults),
 checked on the library calls behind it.  A change that breaks a paper
 shape therefore fails the suite, not only a rerun of the figures.
-Timing is not checked here: ``bench/`` and the ``BENCH_*.json`` gate
-measure it.
+Timing is not checked here: ``bench/`` measures it, and CI compares
+its timings against each pull request's base commit.
 
 One module-scoped :class:`ResultCache` serves every row producer, so
 the cross-workload study and the energy comparison reuse Figure 8's

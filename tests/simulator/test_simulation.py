@@ -7,6 +7,8 @@ from repro.simulator import SimConfig, simulate
 from repro.topology import crossbar, mesh, mesh_for, torus
 from repro.workloads import PhaseProgramBuilder
 
+from tests.simulator.diff_corpus import _idle_heavy
+
 
 def _cfg(**kw):
     base = dict(deadlock_threshold=500, max_cycles=2_000_000)
@@ -200,3 +202,16 @@ class TestDeadlockRecovery:
         r = simulate(b.program, torus(4, 4), SimConfig())
         assert r.deadlocks_detected == 0
         assert r.delivered_packets == b.program.total_messages
+
+
+class TestIdleHeavy:
+    def test_neighbour_stream_on_mesh16x16_is_pinned(self):
+        """Pins the retired benchmark gate's idle-heavy-mesh16x16 case:
+        one neighbour stream on 256 nodes, so 254 NICs idle every cycle
+        (the trace golden holds only the 8x8 variant)."""
+        r = simulate(**_idle_heavy(256, (16, 16), 2000))
+        assert r.execution_cycles == 34022
+        assert r.delivered_packets == 2000
+        assert r.flit_hops == 68000
+        assert r.deadlocks_detected == 0
+        assert r.retransmissions == 0

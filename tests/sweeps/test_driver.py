@@ -307,6 +307,34 @@ class TestRunSweep:
             <= curve.saturation_rate
         )
 
+    @pytest.mark.parametrize(
+        "pattern, expected",
+        [
+            ("tornado", (7, True, 0.544792, 0.47, 5184, 1118, 1705, 902)),
+            ("uniform", (7, True, 0.623959, 0.54, 5457, 789, 1500, 859)),
+        ],
+        ids=["mesh4x4-tornado", "mesh4x4-uniform"],
+    )
+    def test_mesh4x4_knee_search_is_pinned(self, pattern, expected):
+        """Pins the retired benchmark gate's mesh4x4-tornado and
+        mesh4x4-uniform cases."""
+        sweep = SweepConfig(
+            initial_points=4, refine_iters=3,
+            warmup_cycles=200, measure_cycles=800, drain_cycles=800,
+        )
+        curve = run_sweep(mesh(4, 4), pattern, sweep=sweep)
+        points = curve.points
+        assert (
+            len(points),
+            curve.saturated,
+            curve.saturation_rate,
+            curve.saturation_throughput,
+            sum(p.delivered for p in points),
+            sum(p.p50_latency for p in points),
+            sum(p.p95_latency for p in points),
+            max(p.p99_latency for p in points),
+        ) == expected
+
     def test_suite_grid_and_lookup(self):
         tops = [("mesh", mesh(2, 2), None), ("xbar", crossbar(4), None)]
         result = run_sweep_suite(tops, ["uniform", "neighbor"], sweep=FAST)

@@ -12,6 +12,7 @@ from repro.synthesis import (
     finalize_pipes,
 )
 from repro.topology import TableRouting
+from repro.workloads import benchmark
 
 from tests.fixtures import figure1_pattern, pattern_from_phases
 
@@ -77,3 +78,15 @@ class TestAnnealedPartitioner:
         ).run()
         finals = result.pipe_finals or finalize_pipes(result.state)
         assert all(f.width >= 1 for f in finals.values())
+
+    def test_cg16_seed0_design_is_pinned(self):
+        # Pins the retired benchmark gate's cg16-anneal-seed0 case.
+        analysis = CliqueAnalysis.of(benchmark("cg", 16).pattern)
+        result = Partitioner(
+            analysis, constraints=DesignConstraints(), seed=0, anneal=True
+        ).run()
+        assert result.total_links() == 13
+        assert result.bisections == 8
+        assert result.route_moves == 3
+        assert result.processor_moves == 131
+        assert len(result.state.switch_procs) == 9

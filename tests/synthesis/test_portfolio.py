@@ -10,6 +10,7 @@ Regenerate the fixture after an *intentional* synthesis change with::
     REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/synthesis/test_portfolio.py -q
 """
 
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -33,6 +34,36 @@ from repro.workloads import benchmark
 GOLDEN_PATH = Path(__file__).parent / "golden" / "cg8_portfolio.json"
 
 INFEASIBLE = DesignConstraints(max_degree=2)  # no cg-8 seed satisfies this
+
+# The retired benchmark gate's portfolio cases: (benchmark, nodes,
+# constraints, config) -> winner (seed, objective, links, switches),
+# (feasible runs, runs) and the SHA-256 of the identity JSON.
+PINNED_PORTFOLIOS = [
+    pytest.param(
+        "cg", 16, DesignConstraints(), PortfolioConfig(size=4),
+        (1, 10.0, 10, 8), (4, 4),
+        "c40d02a3b446aa410b57660829357d850491a8e9795fef3486ca6dfec7026ede",
+        id="cg16-portfolio-k4",
+    ),
+    pytest.param(
+        "cg", 16, DesignConstraints(),
+        PortfolioConfig(
+            size=2,
+            schedules=(None, AnnealSchedule(steps=400, moves_per_temperature=10)),
+        ),
+        (0, 9.0, 9, 7), (4, 4),
+        "66418885acdb3b247df7b4dc83455d05c08e913da431f490052abc5bbee3d896",
+        id="cg16-portfolio-grid",
+    ),
+    pytest.param(
+        # cg-64 is infeasible at the paper's degree-5 bound.
+        "cg", 64, DesignConstraints(max_degree=8), PortfolioConfig(size=2),
+        (0, 78.0, 78, 29), (2, 2),
+        "4194c29e2c91867837d3b49c861121ee52319ff6cd538a7a16a4ca53e88d873b",
+        id="cg64-portfolio-k2",
+        marks=pytest.mark.slow,
+    ),
+]
 
 
 @pytest.fixture(scope="module")
@@ -112,14 +143,26 @@ class TestGoldenPortfolio:
                 original.switches,
             )
 
-    def test_generate_network_portfolio_delegates(self, cg8):
-        """The generate_network(portfolio=K) entry point returns the
-        portfolio winner's design."""
-        via_portfolio = generate_network(cg8, seed=0, portfolio=3)
-        direct = synthesize_portfolio(cg8, config=_config(size=3))
-        assert canonical_json(design_to_dict(via_portfolio)) == canonical_json(
-            design_to_dict(direct.design)
+    @pytest.mark.parametrize(
+        "name, nodes, constraints, config, winner, counts, sha", PINNED_PORTFOLIOS
+    )
+    def test_pinned_portfolio_fanned_cold_and_serial_warm(
+        self, name, nodes, constraints, config, winner, counts, sha, tmp_path
+    ):
+        pattern = benchmark(name, nodes).pattern
+        cache = ResultCache(tmp_path / "cache")
+        cold = synthesize_portfolio(
+            pattern, constraints=constraints, config=config, jobs=2, cache=cache
         )
+        warm = synthesize_portfolio(
+            pattern, constraints=constraints, config=config, jobs=1, cache=cache
+        )
+        assert all(r.cache_hit for r in warm.runs)
+        w = cold.winner
+        assert (w.seed, w.objective, w.links, w.switches) == winner
+        assert (sum(r.status == "ok" for r in cold.runs), len(cold.runs)) == counts
+        for result in (cold, warm):
+            assert hashlib.sha256(_identity(result).encode()).hexdigest() == sha
 
 
 class TestCells:

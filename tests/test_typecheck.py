@@ -6,7 +6,8 @@ annotations of ``repro.sweeps``, ``repro.simulator.openloop``,
 signatures the sweep artifacts and the portfolio cache keys depend
 on).  The local toolchain may not carry mypy — the test skips rather
 than fails, so a plain ``pytest`` run never needs network access.
-Scope and strictness live in ``[tool.mypy]`` in ``pyproject.toml``.
+``SPOT_CHECK`` names the scope; strictness lives in ``[tool.mypy]`` in
+``pyproject.toml``.
 """
 
 import subprocess
