@@ -10,6 +10,12 @@ transpose, bit permutations, hotspot, the routing-aware adversarial
 permutation), and the resulting saturation throughputs are printed as
 a degradation table relative to the mesh baseline.
 
+Each pattern is resolved strictly against the study topologies first: a
+pattern whose node-count requirement the scale violates (``transpose``
+at 8 nodes, say) is skipped and reported, never run as uniform traffic
+under its own label.  Skipped patterns and their reasons are printed
+and written into the ``--json`` artifact.
+
 Full mode covers every NAS benchmark at 16 and 64 nodes (both valid
 for every benchmark: powers of two for CG/FFT/MG, perfect squares for
 BT/SP); ``--smoke`` runs one benchmark at its paper small size with
@@ -64,6 +70,27 @@ def _sweep_config(smoke: bool, seed: int):
     return SweepConfig(seed=seed)
 
 
+def split_patterns(patterns, rows):
+    """Resolve every pattern strictly against every study topology.
+
+    Returns the runnable patterns, in order, and ``{pattern: reason}``
+    for the ones some topology rejects.
+    """
+    from repro.errors import SimulationError
+    from repro.sweeps import resolve_pattern
+
+    runnable, skipped = [], {}
+    for pattern in patterns:
+        try:
+            for _, topology, _ in rows:
+                resolve_pattern(pattern, topology=topology, strict=True)
+        except SimulationError as exc:
+            skipped[pattern] = str(exc)
+        else:
+            runnable.append(pattern)
+    return tuple(runnable), skipped
+
+
 def run_study(
     benchmark: str,
     nodes: int,
@@ -75,22 +102,29 @@ def run_study(
     cache=None,
     progress=None,
 ):
-    """One benchmark/scale cell of the study, as a ``SweepResult``."""
+    """One benchmark/scale cell of the study.
+
+    Returns the ``SweepResult`` of the runnable patterns and the
+    ``{pattern: reason}`` map of the skipped ones.
+    """
     from repro.sweeps import run_sweep_suite, study_topology
 
     rows = [
         study_topology(kind, nodes, benchmark=benchmark, seed=seed)
         for kind in topologies
     ]
-    return run_sweep_suite(
+    runnable, skipped = split_patterns(patterns, rows)
+    result = run_sweep_suite(
         rows,
-        patterns,
+        runnable,
         sweep=_sweep_config(smoke, seed),
         jobs=jobs,
         cache=cache,
         progress=progress,
         label=f"robustness-{benchmark}-{nodes}",
+        strict_patterns=True,
     )
+    return result, skipped
 
 
 def main() -> int:
@@ -150,6 +184,7 @@ def main() -> int:
     progress = print_progress if args.progress else None
 
     artifacts = []
+    skipped_rows = []
     first = True
     for bench in benchmarks:
         if node_counts is not None:
@@ -159,7 +194,7 @@ def main() -> int:
         else:
             scales = (PAPER_LARGE_SIZE, 4 * PAPER_LARGE_SIZE)
         for nodes in scales:
-            result = run_study(
+            result, skipped = run_study(
                 bench,
                 nodes,
                 smoke=args.smoke,
@@ -182,14 +217,21 @@ def main() -> int:
                     ),
                 )
             )
+            for pattern, reason in skipped.items():
+                print(f"skipped {pattern} at {bench}-{nodes}: {reason}")
+                skipped_rows.append(
+                    {"benchmark": bench, "nodes": nodes, "pattern": pattern,
+                     "reason": reason}
+                )
 
     if args.json_out:
         payload = {
             "kind": "robustness-study",
-            "schema": 1,
+            "schema": 2,
             "seed": args.seed,
             "smoke": args.smoke,
             "results": [r.to_dict() for r in artifacts],
+            "skipped": skipped_rows,
         }
         with open(args.json_out, "w") as fh:
             fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")))

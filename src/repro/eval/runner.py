@@ -16,7 +16,7 @@ from repro.simulator.config import SimConfig
 from repro.simulator.simulation import simulate
 from repro.simulator.stats import SimulationResult
 from repro.synthesis.generator import GeneratedDesign, generate_network
-from repro.topology.builders import Topology, crossbar, mesh_for, torus_for
+from repro.topology.builders import Topology, crossbar, mesh_for, torus_for, torus_link_delays
 from repro.workloads.nas import Benchmark, benchmark
 
 # Topologies compared throughout the paper's evaluation.
@@ -47,14 +47,7 @@ class BenchmarkSetup:
         if kind == "generated":
             return self.floorplan.link_delays()
         if kind == "torus":
-            top = self.baselines["torus"]
-            delays = {}
-            for link in top.network.links:
-                (x1, y1) = top.coords[link.u]
-                (x2, y2) = top.coords[link.v]
-                wrap = abs(x1 - x2) > 1 or abs(y1 - y2) > 1
-                delays[link.link_id] = 2 if wrap else 1
-            return delays
+            return torus_link_delays(self.baselines["torus"])
         return None
 
 

@@ -3,9 +3,10 @@
 The subsystem is zero-dependency and off by default.  Hot layers
 (synthesis, the flit-level engine, the eval runner) accept an optional
 :class:`Observability` bundle; when none is supplied they run with the
-shared :data:`DISABLED` bundle, whose instruments are no-ops, and gate
-their per-cycle work on ``obs.enabled`` so the disabled overhead stays
-within a <2% budget.
+shared :data:`DISABLED` bundle, whose instruments are no-ops, and keep
+per-cycle work off the disabled path (the simulator counts in plain
+integers and samples only when ``obs.enabled``), aiming for a <2%
+disabled overhead.
 
 Determinism contract: every metric value is derived from simulated
 state (cycles, counts, energies).  Wall-clock data is confined to

@@ -3,9 +3,10 @@
 Every instrument hangs off a :class:`MetricsRegistry`.  A disabled
 registry hands out shared null instruments whose mutators are no-ops,
 so instrumented code can keep unconditional ``counter.inc()`` calls on
-warm paths; truly hot paths (per-flit, per-cycle) should additionally
-gate on ``registry.enabled`` or a cached boolean, which is how the
-simulator engine keeps the disabled overhead under a 2% budget.
+warm paths; truly hot paths (per-flit, per-cycle) should count in plain
+integers and report them once, which is what the simulator engine does
+(``Engine.publish_metrics``), gating only its per-window sampling on a
+cached boolean.
 
 Determinism: every value recorded through this module must be derived
 from simulated state (cycles, counts, energies) — never from the wall

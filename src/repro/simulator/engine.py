@@ -16,7 +16,7 @@ while members of the active sets, and every way a sleeping component
 can become relevant again — an arriving flit, a returning credit, a
 queued inject time, a fault transition — schedules or performs its
 activation, so drivers can jump straight to
-:meth:`Engine.next_event_time` across idle gaps.  The cycle-driven
+:meth:`Engine.next_cycle` across idle gaps.  The cycle-driven
 semantics are unchanged (see ``docs/SIMULATOR.md`` for the event model
 and its determinism rules); the byte-identity differential harness in
 ``tests/simulator/test_event_queue_diff.py`` holds this engine to the
@@ -139,7 +139,6 @@ class Engine:
         # reactivates it), or when its inject channel is dead (a fault
         # transition reactivates it).
         self._active_nics: set = set()
-        self.nic_wakeups = 0
         # packet_id -> {id(InputVC): InputVC} for every input VC whose
         # current assignment belongs to that packet; lets _kill_packet
         # release a victim's resources without scanning the fabric.
@@ -157,10 +156,15 @@ class Engine:
         # the static contention certificate promises the absence of
         # inter-packet interference, not of flow-control latency.
         self.contention_stalls = 0
+        # Back-pressure: a router request blocked on a zero credit (once
+        # per visited cycle), or a NIC parking on its inject credit.
+        self.credit_stalls = 0
         self.retransmissions = 0
         self.fault_packet_kills = 0
         self.delivered_packets = 0
+        self.flits_injected = 0
         self.flit_hops = 0
+        self.nic_wakeups = 0
         self.packet_latencies: List[int] = []
         self._delivery_handler: Optional[DeliveryHandler] = None
         self._delivery_observers: List[DeliveryHandler] = []
@@ -174,23 +178,13 @@ class Engine:
         # drain after the last process finishes, so utilization stays
         # in [0, 1] even for trailing-send programs).
         self.cycles_simulated = 0
+        # Observability only samples; publish_metrics reports the
+        # counters above, so observing never changes the schedule.
         self.obs = obs if obs is not None else DISABLED
-        # Cached flag: hot paths pay one attribute load, nothing more,
-        # when observability is disabled.
         self._obs_on = self.obs.enabled
         self._next_sample = 0
         if self._obs_on:
             m = self.obs.metrics
-            self._c_flits_injected = m.counter("sim.flits_injected")
-            self._c_flit_hops = m.counter("sim.flit_hops")
-            self._c_delivered = m.counter("sim.packets_delivered")
-            self._c_deadlocks = m.counter("sim.deadlocks")
-            self._c_contention_stalls = m.counter("sim.contention_stalls")
-            self._c_retransmissions = m.counter("sim.retransmissions")
-            self._c_fault_kills = m.counter("sim.fault_kills")
-            self._c_credit_stalls = m.counter("sim.credit_stalls")
-            self._c_nic_wakeups = m.counter("sim.nic_wakeups")
-            self._h_latency = m.histogram("sim.packet_latency_cycles")
             self._s_flits = m.series("sim.flits_in_network")
             self._s_active_routers = m.series("sim.active_routers")
             # Channel sampling order and metric names are fixed at
@@ -267,19 +261,31 @@ class Engine:
         if processor not in self._active_nics:
             self._active_nics.add(processor)
             self.nic_wakeups += 1
-            if self._obs_on:
-                self._c_nic_wakeups.inc()
 
-    def next_event_time(self) -> Optional[int]:
-        """Time of the earliest scheduled event, or ``None``.
+    def next_cycle(self, t: int, *also: int) -> Optional[int]:
+        """The next cycle to visit after a cycle ``t`` in which nothing
+        moved, or ``None`` when there is nothing to wait for.
 
-        Covers flit/credit arrivals *and* NIC wake-ups.  A pending
-        wake-up always corresponds to a still-queued packet (wakes fire
-        at their inject cycle, and a packet cannot be dequeued before a
-        visited cycle at or past its inject time), so this single peek
-        covers both in-flight traffic and queued injections.
+        Candidates: the earliest event (flit and credit arrivals, NIC
+        wake-ups for queued injections); while traffic exists, the next
+        fault transition; while flits are in the network, the
+        deadlock-detection horizon, however far off the next event is;
+        and any cycle in ``also`` (the open-loop driver's next injection
+        round).  Never earlier than ``t + 1``.
         """
-        return self._events.peek_time()
+        candidates = list(also)
+        event_next = self._events.peek_time()
+        if event_next is not None:
+            candidates.append(event_next)
+        if self.faults is not None and self.busy():
+            fault_next = self.faults.next_transition(t)
+            if fault_next is not None:
+                candidates.append(fault_next)
+        if self.flits_in_network > 0:
+            candidates.append(self.last_progress + self.config.deadlock_threshold)
+        if not candidates:
+            return None
+        return max(t + 1, min(candidates))
 
     def has_queued_packets(self) -> bool:
         return any(nic.queue or nic.streaming for nic in self.nics.values())
@@ -297,12 +303,6 @@ class Engine:
     def _dead(self, cid: ChannelId, t: int) -> bool:
         """Whether channel ``cid`` is failed at cycle ``t``."""
         return self.faults is not None and self.faults.channel_dead(cid, t)
-
-    def next_fault_transition(self, after: int) -> Optional[int]:
-        """Earliest fault activation/recovery strictly after ``after``."""
-        if self.faults is None:
-            return None
-        return self.faults.next_transition(after)
 
     def _cross_fault_transitions(self, t: int) -> None:
         """Wake the whole fabric when a fault activates or recovers, so
@@ -427,9 +427,6 @@ class Engine:
         packet.delivered = True
         self.delivered_packets += 1
         self.packet_latencies.append(t - packet.inject_cycle)
-        if self._obs_on:
-            self._c_delivered.inc()
-            self._h_latency.observe(t - packet.inject_cycle)
         if self._delivery_handler is not None:
             self._delivery_handler(packet.source, packet.dest, packet.seq, t)
         for observer in self._delivery_observers:
@@ -467,14 +464,10 @@ class Engine:
             active = router.active_vcs()
             if not active:
                 # Nothing buffered: a no-op membership (typically a
-                # credit returning to an already-drained router).  With
-                # observability on, keep it — the sampled
-                # ``sim.active_routers`` series counts exactly what the
-                # pre-event-queue engine counted.  Without obs the
-                # membership is unobservable, so drop it instead of
-                # re-scanning an empty router every visited cycle.
-                if not self._obs_on:
-                    self._active_routers.discard(sid)
+                # credit returning to an already-drained router); drop
+                # it instead of re-scanning an empty router every
+                # visited cycle.
+                self._active_routers.discard(sid)
                 continue
             # Phase 0: drop killed flits sitting at buffer fronts.
             dropped = False
@@ -523,8 +516,6 @@ class Engine:
                         # Live candidates exist but every VC is held by
                         # another packet: inter-packet contention.
                         self.contention_stalls += 1
-                        if self._obs_on:
-                            self._c_contention_stalls.inc()
             # Phase 2: switch allocation, one flit per output channel.
             flat: List[Tuple[ChannelId, int]] = []
             for idx, (cid, vc, ivc) in enumerate(active):
@@ -538,9 +529,9 @@ class Engine:
                     continue  # channel failed after allocation: stall
                 if channels[out_cid].credits[out_vc] > 0:
                     flat.append((out_cid, idx))
-                elif self._obs_on:
+                else:
                     # Allocated VC but no credit: back-pressure stall.
-                    self._c_credit_stalls.inc()
+                    self.credit_stalls += 1
             # Group by output channel only when more than one VC made a
             # request — the streaming common case is a single request,
             # where the dict build and key sort are pure overhead.
@@ -559,8 +550,6 @@ class Engine:
                     # Distinct packets competing for one physical
                     # channel this cycle; all but the winner stall.
                     self.contention_stalls += losers
-                    if self._obs_on:
-                        self._c_contention_stalls.inc(losers)
                     winner_idx = router.arbitrate(out_cid, reqs)
                 else:
                     # Sole requester: round-robin always grants it and
@@ -579,8 +568,6 @@ class Engine:
                     self._channel_busy_cycles.get(out_cid, 0) + 1
                 )
                 self.flit_hops += 1
-                if self._obs_on:
-                    self._c_flit_hops.inc()
                 moved = True
                 if flit.is_tail:
                     self._clear_assignment(ivc)
@@ -644,21 +631,16 @@ class Engine:
                         self._channel_busy_cycles.get(nic.inject_channel, 0) + 1
                     )
                     self.flits_in_network += 1
-                    if self._obs_on:
-                        self._c_flits_injected.inc()
+                    self.flits_injected += 1
                     moved = True
                     if flit.is_tail:
                         nic.streaming = None
                         channel.owner[vc] = None
-                elif self._obs_on:
-                    # Streaming NIC blocked on the inject channel
-                    # credit.  With observability on the NIC stays
-                    # awake so the per-cycle stall accounting matches
-                    # the always-sweep engine exactly.
-                    self._c_credit_stalls.inc()
                 else:
-                    # Parked until the credit comes back (its delivery
-                    # reactivates this NIC).
+                    # Blocked on the inject channel credit: parked until
+                    # the credit comes back (its delivery reactivates
+                    # this NIC).
+                    self.credit_stalls += 1
                     self._active_nics.discard(p)
             elif not nic.queue:
                 # Fully idle; submit()/retransmit enqueues reactivate.
@@ -684,15 +666,13 @@ class Engine:
             )
         victim = max(stuck, key=lambda pkt: (pkt.inject_cycle, pkt.packet_id))
         self.deadlocks_detected += 1
-        if self._obs_on:
-            self._c_deadlocks.inc()
-            self.obs.tracer.event(
-                "sim.deadlock",
-                cycle=t,
-                packet=victim.packet_id,
-                source=victim.source,
-                dest=victim.dest,
-            )
+        self.obs.tracer.event(
+            "sim.deadlock",
+            cycle=t,
+            packet=victim.packet_id,
+            source=victim.source,
+            dest=victim.dest,
+        )
         self._kill_packet(victim)
         self._retransmit(victim, t)
         self.last_progress = t
@@ -703,15 +683,13 @@ class Engine:
         if packet.killed or packet.delivered:
             return
         self.fault_packet_kills += 1
-        if self._obs_on:
-            self._c_fault_kills.inc()
-            self.obs.tracer.event(
-                "sim.fault_kill",
-                cycle=t,
-                packet=packet.packet_id,
-                source=packet.source,
-                dest=packet.dest,
-            )
+        self.obs.tracer.event(
+            "sim.fault_kill",
+            cycle=t,
+            packet=packet.packet_id,
+            source=packet.source,
+            dest=packet.dest,
+        )
         self._kill_packet(packet)
         self._retransmit(packet, t)
 
@@ -761,15 +739,13 @@ class Engine:
         self.nics[victim.source].enqueue(replacement)
         self._events.push(replacement.inject_cycle, NIC_WAKE, victim.source)
         self.retransmissions += 1
-        if self._obs_on:
-            self._c_retransmissions.inc()
-            self.obs.tracer.event(
-                "sim.retransmit",
-                cycle=t,
-                packet=victim.packet_id,
-                replacement=replacement.packet_id,
-                inject_cycle=replacement.inject_cycle,
-            )
+        self.obs.tracer.event(
+            "sim.retransmit",
+            cycle=t,
+            packet=victim.packet_id,
+            replacement=replacement.packet_id,
+            inject_cycle=replacement.inject_cycle,
+        )
 
     def _has_presence(self, pkt: Packet) -> bool:
         """Whether killing the packet could free network resources: it
@@ -777,6 +753,32 @@ class Engine:
         return pkt.flits_sent > 0
 
     # -- stats ---------------------------------------------------------------
+
+    def publish_metrics(self) -> None:
+        """Add this run's tallies to the observability registry.
+
+        Drivers call it once, at the end of a run.  Counters add, so
+        several runs on one registry accumulate.
+        """
+        m = self.obs.metrics
+        if not m.enabled:
+            return
+        for name, value in (
+            ("sim.flits_injected", self.flits_injected),
+            ("sim.flit_hops", self.flit_hops),
+            ("sim.packets_delivered", self.delivered_packets),
+            ("sim.deadlocks", self.deadlocks_detected),
+            ("sim.contention_stalls", self.contention_stalls),
+            ("sim.retransmissions", self.retransmissions),
+            ("sim.fault_kills", self.fault_packet_kills),
+            ("sim.credit_stalls", self.credit_stalls),
+            ("sim.nic_wakeups", self.nic_wakeups),
+        ):
+            m.counter(name).inc(value)
+        latency = m.histogram("sim.packet_latency_cycles")
+        for cycles in self.packet_latencies:
+            latency.observe(cycles)
+        m.gauge("sim.cycles_simulated").set(self.cycles_simulated)
 
     def link_utilization(
         self, total_cycles: Optional[int] = None

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
 from repro.obs import Observability
@@ -50,7 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 # Bounded retries when a pattern returns the source: enough that any
 # pattern with a non-vanishing chance of another node virtually always
-# resolves, small enough that a degenerate all-self pattern stays cheap.
+# resolves, small enough that an all-self pattern fails fast.
 _RESAMPLE_BOUND = 16
 
 
@@ -110,15 +110,17 @@ def run_open_loop(
     (same start, same rate, same packet size), so the per-node
     per-cycle debt loop collapses into one shared crossing schedule
     computed up front by exact scalar replay, and the driver jumps
-    across idle gaps between crossings/events the same way the
-    trace-driven loop does.  The one thing that can desynchronize the
-    nodes is a *degenerate* draw — a pattern exhausting the resample
-    bound keeps that node's debt — at which point the driver falls back
-    to the exact per-cycle loop with every node's debt reconstructed
-    bit-for-bit.  ``LoadPoint`` results are byte-identical to the
-    always-step implementation either way (observability sampling, which
+    across idle gaps with :meth:`~repro.simulator.engine.Engine.next_cycle`
+    like every other driver.  ``LoadPoint`` results are byte-identical
+    to the always-step implementation (observability sampling, which
     follows visited cycles, is the only thing that can tell the
     difference).
+
+    Raises:
+        SimulationError: on a non-positive rate, or when ``pattern``
+            still returns the source after the bounded resample — that
+            node could never inject, so the point would report load
+            it never offered.
     """
     if injection_rate <= 0:
         raise SimulationError(f"injection rate must be positive, got {injection_rate}")
@@ -151,17 +153,13 @@ def run_open_loop(
     horizon = warmup_cycles + measure_cycles
 
     # Shared debt-crossing schedule: the exact scalar replay of one
-    # node's debt.  ``debt_before``/``debt_after`` snapshot the running
-    # value around the crossing cycle's increment so the degenerate
-    # fallback can reconstruct every node's float state bit-for-bit
-    # (re-deriving them arithmetically would not round identically).
-    crossings: List[tuple] = []  # (cycle, debt_before, debt_after)
+    # node's debt gives the cycles at which every node injects.
+    crossings: List[int] = []
     d = 0.0
     for ct in range(horizon):
-        before = d
-        d = before + injection_rate
+        d += injection_rate
         if d >= flits_per_packet:
-            crossings.append((ct, before, d))
+            crossings.append(ct)
             d -= flits_per_packet
 
     def draw(node: int) -> int:
@@ -170,6 +168,12 @@ def run_open_loop(
             if dest != node:
                 break
             dest = pattern(node, n, rng)
+        if dest == node:
+            raise SimulationError(
+                f"pattern returned source node {node} on "
+                f"{_RESAMPLE_BOUND + 1} draws in a row; node {node} "
+                "could never inject"
+            )
         return dest
 
     def submit(node: int, dest: int, cycle: int) -> None:
@@ -185,74 +189,22 @@ def run_open_loop(
         )
         inject_times[(node, dest, seq)] = cycle
 
-    def run_exact(t_start: int, node_start: int, debt: List[float]) -> None:
-        """Per-cycle injection loop from ``(t_start, node_start)`` to the
-        horizon — the degenerate-pattern path, where nodes no longer
-        share one debt value."""
-        node_from = node_start
-        for tx in range(t_start, horizon):
-            for node in range(node_from, n):
-                debt[node] += injection_rate
-                if debt[node] >= flits_per_packet:
-                    dest = draw(node)
-                    if dest == node:
-                        # Degenerate draw: keep the flit debt so the
-                        # offered load is carried forward, not silently
-                        # dropped.
-                        continue
-                    debt[node] -= flits_per_packet
-                    submit(node, dest, tx)
-            node_from = 0
-            engine.step(tx)
-
     t = 0
     ci = 0  # next crossing index
     while t < horizon:
-        if ci < len(crossings) and t == crossings[ci][0]:
-            _, before, after = crossings[ci]
+        if ci < len(crossings) and t == crossings[ci]:
             ci += 1
-            degenerate = None
             for node in range(n):
-                dest = draw(node)
-                if dest == node:
-                    degenerate = node
-                    break
-                submit(node, dest, t)
-            if degenerate is not None:
-                # Nodes before the degenerate one injected (debt paid),
-                # the degenerate node keeps its incremented debt, and
-                # later nodes have not seen this cycle's increment yet.
-                k = degenerate
-                debt = (
-                    [after - flits_per_packet] * k
-                    + [after]
-                    + [before] * (n - k - 1)
-                )
-                run_exact(t, k + 1, debt)
-                break
+                submit(node, draw(node), t)
         if engine.step(t):
             t += 1
             continue
-        # Nothing moved: jump to the next cycle anything can happen —
-        # a scheduled event, the next injection round, a fault
-        # transition that may unblock stalled traffic, or the deadlock
-        # detection horizon for flits stalled in buffers.
-        candidates = []
-        event_next = engine.next_event_time()
-        if event_next is not None:
-            candidates.append(event_next)
-        if ci < len(crossings):
-            candidates.append(crossings[ci][0])
-        fault_next = engine.next_fault_transition(t)
-        if fault_next is not None and engine.busy():
-            candidates.append(fault_next)
-        if engine.flits_in_network > 0:
-            candidates.append(
-                max(t + 1, engine.last_progress + engine.config.deadlock_threshold)
-            )
-        if not candidates:
+        # Nothing moved: the next injection round competes with the
+        # engine's own wake-ups.
+        next_t = engine.next_cycle(t, *crossings[ci:ci + 1])
+        if next_t is None:
             break  # empty network, no injections left before the horizon
-        t = max(t + 1, min(candidates))
+        t = next_t
 
     # Drain without new injections, bounded: a saturated network never
     # fully drains its backlog in time.
@@ -262,19 +214,10 @@ def run_open_loop(
         if engine.step(t):
             t += 1
             continue
-        candidates = []
-        event_next = engine.next_event_time()
-        if event_next is not None:
-            candidates.append(event_next)
-        fault_next = engine.next_fault_transition(t)
-        if fault_next is not None:
-            candidates.append(fault_next)
-        if engine.flits_in_network > 0:
-            candidates.append(
-                max(t + 1, engine.last_progress + engine.config.deadlock_threshold)
-            )
-        t = max(t + 1, min(candidates)) if candidates else t + 1
+        next_t = engine.next_cycle(t)
+        t = next_t if next_t is not None else t + 1
     saturated = engine.busy()
+    engine.publish_metrics()
 
     payload_flits = flits_per_packet - 1
     accepted = delivered_in_window * payload_flits / (measure_cycles * n)

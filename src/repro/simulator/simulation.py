@@ -90,18 +90,14 @@ def simulate(
                     f"simulation exceeded {config.max_cycles} cycles "
                     f"({program.name} on {topology.name}); likely livelock"
                 )
-            moved = engine.step(t)
-            if moved:
+            if engine.step(t):
                 replay.run_ready()
-            if not moved:
-                t = _advance(engine, replay, t)
-            else:
                 t += 1
+            else:
+                t = _advance(engine, replay, t)
 
-    if engine.obs.enabled:
-        m = engine.obs.metrics
-        m.gauge("sim.execution_cycles").set(replay.execution_cycles())
-        m.gauge("sim.cycles_simulated").set(engine.cycles_simulated)
+    engine.publish_metrics()
+    engine.obs.metrics.gauge("sim.execution_cycles").set(replay.execution_cycles())
     return SimulationResult(
         topology_name=topology.name,
         program_name=program.name,
@@ -124,33 +120,14 @@ def simulate(
 def _advance(engine: Engine, replay: ProcessReplay, t: int) -> int:
     """Pick the next cycle when nothing moved at ``t``.
 
-    Jump to the earliest future event (flit/credit arrival or NIC
-    wake-up).  If no event is pending but flits sit stalled in the
-    network, jump straight to the deadlock-detection horizon.  If the
-    engine is completely empty yet processes still block, the program
-    has unmatched receives — a workload bug worth a precise error.
+    The engine's :meth:`~repro.simulator.engine.Engine.next_cycle`
+    decides.  If the engine has nothing left to wait for yet processes
+    still block, the program has unmatched receives — a workload bug
+    worth a precise error.
     """
-    candidates = []
-    # One peek covers flit/credit arrivals and queued inject times:
-    # NIC wake-ups ride the same event queue.
-    event_next = engine.next_event_time()
-    if event_next is not None:
-        candidates.append(event_next)
-    fault_next = engine.next_fault_transition(t)
-    if fault_next is not None and (engine.busy() or replay.anyone_blocked()):
-        # A fault activating/recovering can unblock stalled traffic
-        # (e.g. a NIC waiting out a transient injection-channel outage);
-        # the deadlock horizon still competes, so a long outage kills
-        # stalled packets instead of silently waiting out the fault.
-        candidates.append(fault_next)
-        if engine.flits_in_network > 0:
-            candidates.append(
-                max(t + 1, engine.last_progress + engine.config.deadlock_threshold)
-            )
-    if candidates:
-        return max(t + 1, min(candidates))
-    if engine.flits_in_network > 0:
-        return max(t + 1, engine.last_progress + engine.config.deadlock_threshold)
+    next_t = engine.next_cycle(t)
+    if next_t is not None:
+        return next_t
     if replay.anyone_blocked():
         raise SimulationError(
             "simulation stuck with an idle network: " + replay.blocked_summary()

@@ -43,7 +43,7 @@ from repro.simulator.config import SimConfig
 from repro.simulator.openloop import LoadPoint
 from repro.sweeps.patterns import canonical_spec, resolve_pattern
 from repro.sweeps.report import SaturationCurve, SweepResult
-from repro.topology.builders import Topology, crossbar, mesh_for, torus_for
+from repro.topology.builders import Topology, crossbar, mesh_for, torus_for, torus_link_delays
 from repro.topology.routing import ShortestPathRouting
 
 #: Rates are rounded to this many decimals so bisection midpoints (and
@@ -548,13 +548,7 @@ def study_topology(
         return kind, crossbar(nodes), None
     if kind == "torus":
         top = torus_for(nodes)
-        delays = {}
-        for link in top.network.links:
-            (x1, y1) = top.coords[link.u]
-            (x2, y2) = top.coords[link.v]
-            wrap = abs(x1 - x2) > 1 or abs(y1 - y2) > 1
-            delays[link.link_id] = 2 if wrap else 1
-        return kind, top, delays
+        return kind, top, torus_link_delays(top)
     if kind in ("generated", "generated-spare"):
         from repro.eval.runner import prepare
 

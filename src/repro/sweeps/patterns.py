@@ -12,9 +12,11 @@ primitives for backward compatibility.
 
 Pattern contract
 ----------------
-A pattern is ``pattern(src, n, rng) -> dest``.  Returning the source
-asks the open-loop injector to resample (bounded), so deterministic
-patterns with fixed points instead *fall back to uniform random* on a
+A pattern is ``pattern(src, n, rng) -> dest`` with ``dest != src``.
+The open-loop injector resamples a self draw (bounded); a pattern that
+still returns the source raises :class:`~repro.errors.SimulationError`
+naming the node, since that node could never inject.  Deterministic
+patterns with fixed points therefore *fall back to uniform random* on a
 self-map — the offered load is preserved and the behaviour is explicit:
 
 * ``transpose`` needs a square node count, the ``bit_*`` and

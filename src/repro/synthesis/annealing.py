@@ -5,8 +5,8 @@ partitioning moves and (in our reproduction) the floorplan placement.
 The deterministic hill-climbing variants in :mod:`repro.synthesis.moves`
 and :mod:`repro.synthesis.best_route` are what the Appendix pseudo-code
 specifies; this engine provides the temperature-driven variant used by
-the floorplanner and by the ``anneal=True`` extension of the
-partitioner ablations.
+the floorplanner, and :class:`AnnealSchedule` also parameterizes the
+partitioner's annealed walk (``Partitioner(anneal_schedule=...)``).
 """
 
 from __future__ import annotations

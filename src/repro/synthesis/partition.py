@@ -119,10 +119,8 @@ class Partitioner:
         analysis: CliqueAnalysis,
         constraints: Optional[DesignConstraints] = None,
         seed: int = 0,
-        max_bisections: Optional[int] = None,
         reroute: bool = True,
         moves: bool = True,
-        anneal: bool = False,
         anneal_schedule: Optional[AnnealSchedule] = None,
         obs: Optional[Observability] = None,
     ) -> None:
@@ -131,16 +129,14 @@ class Partitioner:
         self.constraints.check_feasible(analysis.pattern.num_processes)
         self.reroute = reroute
         self.moves = moves
-        # An explicit schedule turns the annealed walk on; ``anneal=True``
-        # without one keeps the historical default parameters.
-        self.anneal = anneal or anneal_schedule is not None
+        # A schedule turns the annealed walk on after each bisection.
         self.anneal_schedule = anneal_schedule
         self.obs = obs if obs is not None else DISABLED
         self.rng = random.Random(seed)
         # Each bisection adds a switch; N-1 splits reach one processor
         # per switch, the finest possible partition.  A small multiple
         # tolerates re-partitioning after finalization.
-        self.max_bisections = max_bisections or 3 * analysis.pattern.num_processes
+        self.max_bisections = 3 * analysis.pattern.num_processes
 
     def run(self) -> PartitionResult:
         """Execute the algorithm until constraints hold or splitting is
@@ -216,21 +212,18 @@ class Partitioner:
                 moved = best_route(state, si, sj)
                 result.route_moves += moved
                 c_route_moves.inc(moved)
-                if self.anneal and self.moves:
-                    sched = self.anneal_schedule
-                    if sched is None:
-                        annealed = annealed_moves(state, si, sj, self.rng)
-                    else:
-                        annealed = annealed_moves(
-                            state,
-                            si,
-                            sj,
-                            self.rng,
-                            steps=sched.steps,
-                            initial_temperature=sched.initial_temperature,
-                            cooling=sched.cooling,
-                            moves_per_temperature=sched.moves_per_temperature,
-                        )
+                sched = self.anneal_schedule
+                if sched is not None and self.moves:
+                    annealed = annealed_moves(
+                        state,
+                        si,
+                        sj,
+                        self.rng,
+                        steps=sched.steps,
+                        initial_temperature=sched.initial_temperature,
+                        cooling=sched.cooling,
+                        moves_per_temperature=sched.moves_per_temperature,
+                    )
                     result.processor_moves += annealed
                     c_proc_moves.inc(annealed)
                     moved = best_route(state, si, sj)

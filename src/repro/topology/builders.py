@@ -256,3 +256,15 @@ def torus_for(num_processors: int) -> Topology:
     """The near-square torus used as baseline for ``num_processors``."""
     w, h = grid_dims(num_processors)
     return torus(w, h)
+
+
+def torus_link_delays(topology: Topology) -> Dict[int, int]:
+    """Per-link delays of a torus: one cycle per link, two for the
+    (folded) wraparounds, as in the paper's evaluation."""
+    delays = {}
+    for link in topology.network.links:
+        (x1, y1) = topology.coords[link.u]
+        (x2, y2) = topology.coords[link.v]
+        wrap = abs(x1 - x2) > 1 or abs(y1 - y2) > 1
+        delays[link.link_id] = 2 if wrap else 1
+    return delays

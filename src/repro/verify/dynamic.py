@@ -214,7 +214,7 @@ def _max_route_hops(topology: Topology, pattern: CommunicationPattern) -> int:
 def _drain(engine: Engine, config: SimConfig) -> int:
     """Run the engine until every submitted packet has left the network.
 
-    Mirrors the idle-skipping main loop of
+    The idle-skipping main loop of
     :func:`repro.simulator.simulation.simulate`, minus the process
     replay (the pattern supplies injection times directly).
     """
@@ -228,11 +228,6 @@ def _drain(engine: Engine, config: SimConfig) -> int:
         if engine.step(t):
             t += 1
             continue
-        event_next = engine.next_event_time()
-        if event_next is not None:
-            t = max(t + 1, event_next)
-        elif engine.flits_in_network > 0:
-            t = max(t + 1, engine.last_progress + config.deadlock_threshold)
-        else:
-            t += 1
+        next_t = engine.next_cycle(t)
+        t = next_t if next_t is not None else t + 1
     return engine.cycles_simulated

@@ -88,12 +88,16 @@ class TestNicPause:
 
 
 class TestTransitions:
-    def test_next_fault_transition_exposed(self):
+    def test_next_cycle_stops_at_fault_transitions(self):
         engine, _ = _engine(LinkFault(0, start=10, end=20))
-        assert engine.next_fault_transition(0) == 10
-        assert engine.next_fault_transition(10) == 20
-        assert engine.next_fault_transition(20) is None
+        # Transitions only matter while there is traffic to unblock.
+        assert engine.next_cycle(0) is None
+        engine.submit(source=0, dest=1, size_bytes=4, inject_cycle=1000, seq=0)
+        assert engine.next_cycle(0) == 10
+        assert engine.next_cycle(10) == 20
+        assert engine.next_cycle(20) == 1000
 
     def test_faultless_engine_has_no_transitions(self):
         engine, _ = _engine()
-        assert engine.next_fault_transition(0) is None
+        engine.submit(source=0, dest=1, size_bytes=4, inject_cycle=1000, seq=0)
+        assert engine.next_cycle(0) == 1000

@@ -24,13 +24,14 @@ class TestRunStudy:
     def test_baseline_grid_produces_degradation_table(self, study_module):
         from repro.sweeps import degradation_table
 
-        result = study_module.run_study(
+        result, skipped = study_module.run_study(
             "cg",
             8,
             patterns=("uniform", "tornado"),
             topologies=("mesh", "torus"),
             smoke=True,
         )
+        assert skipped == {}
         assert result.topology_labels == ("mesh", "torus")
         assert result.patterns == ("uniform", "tornado")
         table = degradation_table(result, baseline="mesh")
@@ -42,22 +43,31 @@ class TestRunStudy:
         assert len(study_module.STUDY_PATTERNS) >= 6
         assert len(study_module.STUDY_TOPOLOGIES) >= 3
 
+    def test_patterns_invalid_at_the_scale_are_skipped_with_a_reason(
+        self, study_module
+    ):
+        from repro.sweeps import study_topology
+
+        rows = [study_topology("mesh", 8)]
+        runnable, skipped = study_module.split_patterns(
+            ("uniform", "transpose", "hotspot:9:0.5"), rows
+        )
+        assert runnable == ("uniform",)
+        assert set(skipped) == {"transpose", "hotspot:9:0.5"}
+        assert "square" in skipped["transpose"]
+
     @pytest.mark.slow
     def test_full_smoke_topologies_include_generated_variants(self, study_module):
-        from repro.sweeps import SweepResult
-
-        result = study_module.run_study("cg", 8, smoke=True, jobs=0)
+        result, skipped = study_module.run_study("cg", 8, smoke=True, jobs=0)
         assert set(result.topology_labels) == {
             "generated", "generated-spare", "mesh", "torus",
         }
+        # transpose needs a square node count; at 8 nodes it is skipped
+        # rather than run as uniform traffic under its own label.
+        assert set(skipped) == {"transpose"}
+        assert "transpose" not in result.patterns
         assert len(result.patterns) >= 6
-        # Pins the retired benchmark gate's suite-fanout-smoke case,
-        # which hashed the same 36 curves under the label "bench-fanout".
-        assert len(result.curves) == 36
+        assert len(result.curves) == 32
         assert hashlib.sha256(result.to_json().encode()).hexdigest() == (
-            "b37a5b4f772b9ba6ddc3f48ec4bb96f8d506e526fea7a143fa5f127ddf69f1b9"
-        )
-        relabelled = SweepResult(label="bench-fanout", curves=result.curves)
-        assert hashlib.sha256(relabelled.to_json().encode()).hexdigest() == (
-            "2c34017258c88fa85f11f717416137e1a98ce33a20dc05707e6b5bcc1a0dfc57"
+            "551ee2452688b38ec03bd31e583f4f038ae0a8c899febfcaeb02355977cc862b"
         )

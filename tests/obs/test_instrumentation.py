@@ -9,7 +9,7 @@ itself byte-stable across identical runs.
 from repro.eval.serialize import result_to_dict
 from repro.model.cliques import CliqueAnalysis
 from repro.obs import DISABLED, MANDATORY_COUNTERS, enabled_observability
-from repro.simulator import SimConfig, simulate
+from repro.simulator import Engine, SimConfig, simulate
 from repro.simulator.openloop import run_open_loop, uniform_random
 from repro.synthesis.annealing import AnnealSchedule, SimulatedAnnealing
 from repro.synthesis.partition import Partitioner
@@ -35,6 +35,34 @@ class TestSimulatorNeutrality:
         obs = enabled_observability(sample_every=16)
         observed = simulate(_program(), mesh(2, 2), _cfg(), obs=obs)
         assert result_to_dict(base) == result_to_dict(observed)
+
+    def test_observed_run_visits_the_same_schedule(self, monkeypatch):
+        # Three senders converge on node 0, so requests and NICs stall
+        # on credits; observing the run must not keep anything awake.
+        b = PhaseProgramBuilder(4, "converge")
+        b.phase([(1, 0, 512), (2, 0, 512), (3, 0, 512)])
+        program = b.build()
+        engines, visits = [], []
+        real_step = Engine.step
+
+        def spy(self, t):
+            moved = real_step(self, t)
+            if not engines or engines[-1] is not self:
+                engines.append(self)
+                visits.append([])
+            visits[-1].append((t, len(self._active_routers), len(self._active_nics)))
+            return moved
+
+        monkeypatch.setattr(Engine, "step", spy)
+        simulate(program, mesh(2, 2), _cfg())
+        obs = enabled_observability(sample_every=4)
+        simulate(program, mesh(2, 2), _cfg(), obs=obs)
+        unobserved, observed = engines
+        assert visits[0] == visits[1]
+        assert observed.nic_wakeups == unobserved.nic_wakeups
+        counters = obs.metrics.snapshot()["counters"]
+        assert counters["sim.credit_stalls"] == unobserved.credit_stalls > 0
+        assert counters["sim.nic_wakeups"] == unobserved.nic_wakeups
 
     def test_counters_match_result_fields(self):
         obs = enabled_observability()

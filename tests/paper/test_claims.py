@@ -39,6 +39,7 @@ from repro.simulator.openloop import (
     uniform_random,
 )
 from repro.synthesis import (
+    AnnealSchedule,
     Partitioner,
     build_conflict_graph,
     exact_coloring,
@@ -269,19 +270,25 @@ class TestSynthesisAblations:
     def test_annealing_is_at_least_as_robust_as_greedy(self, pattern):
         analysis = CliqueAnalysis.of(pattern)
 
-        def sweep(anneal):
+        def sweep(schedule):
             links, fails = [], 0
             for seed in range(8):
                 try:
-                    result = Partitioner(analysis, seed=seed, anneal=anneal).run()
+                    result = Partitioner(
+                        analysis, seed=seed, anneal_schedule=schedule
+                    ).run()
                 except SynthesisError:
                     fails += 1
                     continue
                 links.append(result.total_links())
             return min(links), fails
 
-        greedy_best, greedy_fails = sweep(False)
-        annealed_best, annealed_fails = sweep(True)
+        greedy_best, greedy_fails = sweep(None)
+        annealed_best, annealed_fails = sweep(
+            AnnealSchedule(
+                initial_temperature=3.0, cooling=0.94, steps=80, moves_per_temperature=1
+            )
+        )
         assert annealed_fails <= greedy_fails
         assert annealed_best <= greedy_best * 1.25
 

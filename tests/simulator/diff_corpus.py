@@ -24,7 +24,6 @@ implementation.
 
 from __future__ import annotations
 
-import random
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -272,12 +271,6 @@ def run_replay_case(case: ReplayCase, replay_fn: Callable) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _self_biased_pattern(src: int, n: int, rng: random.Random) -> int:
-    """Node 0 always draws itself (the degenerate resample path); every
-    other node targets node 0."""
-    return 0
-
-
 def openloop_cases() -> Tuple[OpenLoopCase, ...]:
     from repro.sweeps.patterns import resolve_pattern
     from repro.topology import mesh, torus
@@ -287,14 +280,9 @@ def openloop_cases() -> Tuple[OpenLoopCase, ...]:
     def case(name, topo_fn, spec, rate, lane=FAST, **extra):
         def build() -> dict:
             topology = topo_fn()
-            pattern = (
-                _self_biased_pattern
-                if spec == "self-biased"
-                else resolve_pattern(spec, topology=topology)
-            )
-            kwargs = {"topology": topology, "injection_rate": rate,
-                      "pattern": pattern, "seed": 1, **short, **extra}
-            return kwargs
+            pattern = resolve_pattern(spec, topology=topology)
+            return {"topology": topology, "injection_rate": rate,
+                    "pattern": pattern, "seed": 1, **short, **extra}
 
         return OpenLoopCase(name, build, lane=lane)
 
@@ -325,8 +313,6 @@ def openloop_cases() -> Tuple[OpenLoopCase, ...]:
              lane=SLOW),
         case("mesh4x4-adversarial-0.20", lambda: mesh(4, 4), "adversarial",
              0.20, lane=SLOW),
-        case("mesh4x4-self-biased-0.20", lambda: mesh(4, 4), "self-biased",
-             0.20),
         OpenLoopCase("mesh4x4-uniform-0.10-faulted", faulted_mesh, lane=FAST),
     )
 

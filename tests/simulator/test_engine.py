@@ -71,9 +71,13 @@ class TestSubmitAndStep:
 
     def test_next_times_for_idle_skip(self):
         engine, _ = _engine()
-        assert engine.next_event_time() is None
+        assert engine.next_cycle(0) is None
         engine.submit(source=0, dest=1, size_bytes=4, inject_cycle=500, seq=0)
-        assert engine.next_event_time() == 500
+        assert engine.next_cycle(0) == 500
+        # A driver's own wake-up competes with the engine's.
+        assert engine.next_cycle(0, 200) == 200
+        # Never earlier than the cycle after the idle one.
+        assert engine.next_cycle(600) == 601
 
 
 class TestDeadlockRecovery:

@@ -12,8 +12,9 @@ The vendored ``legacy_engine`` cross-checks and their hypothesis lanes
 were retired once the nightly differential job had soaked; regenerate
 the goldens with ``scripts/gen_simulator_golden.py`` when a payload
 *shape* change lands (and diff the unchanged fields against the
-previous fixtures).  Slow-lane cases carry ``@pytest.mark.slow`` and
-run nightly.
+previous fixtures).  Slow-lane cases carry ``@pytest.mark.slow``; the
+full test run includes them on every push, and ``-m "not slow"``
+deselects them.
 """
 
 import json

@@ -108,18 +108,18 @@ class TestSelfDrawRegression:
             base.accepted_flits_per_node_cycle, rel=0.1
         )
 
-    def test_all_self_pattern_keeps_debt_and_terminates(self):
-        """A degenerate pattern that only ever returns the source must
-        neither spin forever (resampling is bounded) nor inject."""
-        point = run_open_loop(
-            crossbar(4),
-            0.5,
-            pattern=lambda src, n, rng: src,
-            warmup_cycles=100,
-            measure_cycles=400,
-        )
-        assert point.delivered == 0
-        assert not point.saturated
+    def test_all_self_pattern_raises(self):
+        """A pattern that only ever returns the source could never
+        inject from that node: the bounded resample gives up and the
+        run names the node instead of reporting load it never offered."""
+        with pytest.raises(SimulationError, match="source node 0"):
+            run_open_loop(
+                crossbar(4),
+                0.5,
+                pattern=lambda src, n, rng: src,
+                warmup_cycles=100,
+                measure_cycles=400,
+            )
 
     def test_self_draw_resampling_stays_deterministic(self):
         kwargs = dict(measure_cycles=600, seed=5)

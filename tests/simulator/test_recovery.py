@@ -53,6 +53,22 @@ class TestDetection:
         assert engine.retransmissions == 0
 
 
+class TestIdleSkip:
+    def test_far_future_event_does_not_delay_detection(self):
+        # Regression: an idle skip that jumped to the next event alone
+        # slept through the horizon and detected this stall only after
+        # the second packet's injection at cycle 10,000.
+        engine, config = _engine(deadlock_threshold=50)
+        _block_ejection(engine, 1)
+        engine.submit(source=0, dest=1, size_bytes=4, inject_cycle=0, seq=0)
+        engine.submit(source=0, dest=1, size_bytes=4, inject_cycle=10_000, seq=1)
+        t = 0
+        while engine.deadlocks_detected == 0 and t < 20_000:
+            t = t + 1 if engine.step(t) else engine.next_cycle(t)
+        assert engine.deadlocks_detected == 1
+        assert config.deadlock_threshold <= t < 100
+
+
 class TestVictimSelection:
     def test_youngest_stuck_packet_is_killed(self):
         engine, _ = _engine(deadlock_threshold=50)

@@ -4,17 +4,22 @@ import random
 
 from repro.model import CliqueAnalysis, check_contention_free
 from repro.synthesis import (
+    AnnealSchedule,
     DesignConstraints,
     Partitioner,
     SynthesisState,
     annealed_moves,
     best_route,
-    finalize_pipes,
+    generate_network,
 )
-from repro.topology import TableRouting
 from repro.workloads import benchmark
 
 from tests.fixtures import figure1_pattern, pattern_from_phases
+
+# ``annealed_moves``' own defaults, spelled out as a schedule.
+SCHEDULE = AnnealSchedule(
+    initial_temperature=3.0, cooling=0.94, steps=80, moves_per_temperature=1
+)
 
 
 class TestAnnealedMoves:
@@ -59,31 +64,30 @@ class TestAnnealedMoves:
 class TestAnnealedPartitioner:
     def test_produces_valid_design(self):
         analysis = CliqueAnalysis.of(figure1_pattern())
-        result = Partitioner(analysis, seed=1, anneal=True).run()
+        result = Partitioner(analysis, seed=1, anneal_schedule=SCHEDULE).run()
         for s in result.state.switches:
             assert result.final_degree(s) <= 5
 
     def test_annealed_design_is_contention_free_end_to_end(self):
-        from repro.synthesis import generate_network
-
         pattern = pattern_from_phases(
             [[(0, 1), (2, 3), (4, 5)], [(1, 2), (3, 4), (5, 0)]],
             num_processes=6,
         )
-        # The generate facade does not expose anneal directly; run the
-        # partitioner and just validate the state-level invariants.
-        analysis = CliqueAnalysis.of(pattern)
-        result = Partitioner(
-            analysis, constraints=DesignConstraints(max_degree=4), seed=0, anneal=True
-        ).run()
-        finals = result.pipe_finals or finalize_pipes(result.state)
-        assert all(f.width >= 1 for f in finals.values())
+        design = generate_network(
+            pattern,
+            constraints=DesignConstraints(max_degree=4),
+            seed=0,
+            restarts=1,
+            anneal_schedule=SCHEDULE,
+        )
+        assert design.certificate.contention_free
+        assert check_contention_free(pattern, design.topology.routing).contention_free
 
     def test_cg16_seed0_design_is_pinned(self):
         # Pins the retired benchmark gate's cg16-anneal-seed0 case.
         analysis = CliqueAnalysis.of(benchmark("cg", 16).pattern)
         result = Partitioner(
-            analysis, constraints=DesignConstraints(), seed=0, anneal=True
+            analysis, constraints=DesignConstraints(), seed=0, anneal_schedule=SCHEDULE
         ).run()
         assert result.total_links() == 13
         assert result.bisections == 8
