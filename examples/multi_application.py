@@ -1,6 +1,6 @@
 """Designing one network for a workload set.
 
-The cross-workload study (examples/cross_workload_study.py) shows a
+The cross-workload study (``python -m repro cross-workload``) shows a
 network specialized for CG degrades BT.  When the workload set is known
 up front — the norm for the special-purpose systems the paper targets —
 the methodology can design for the *union* of the patterns instead.

@@ -145,12 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="portfolio ranking objective (default links)",
     )
     syn.add_argument(
-        "--target-objective", type=float, default=None, metavar="X",
-        help="early-stop the portfolio once a candidate reaches this "
-        "objective value (races in --jobs-wide waves; trades the "
-        "cross-jobs determinism guarantee for wall time)",
-    )
-    syn.add_argument(
         "--floorplan", action="store_true", help="also place and render the result"
     )
     _add_runner_options(syn)
@@ -376,7 +370,6 @@ def _cmd_synthesize(args) -> int:
         for flag, value in (
             ("--objective", args.objective),
             ("--seed-base", args.seed_base),
-            ("--target-objective", args.target_objective),
         )
         if value is not None
     ]
@@ -397,7 +390,6 @@ def _cmd_synthesize(args) -> int:
                 size=args.portfolio,
                 seed_base=args.seed_base if args.seed_base is not None else args.seed,
                 objective=args.objective or "links",
-                target_objective=args.target_objective,
             ),
             obs=obs,
             **runner,
@@ -430,12 +422,20 @@ def _cmd_synthesize(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    from repro.eval import prepare, run_performance
+    from repro.eval import PerformanceCell, prepare, result_from_dict, run_cells
+    from repro.simulator import SimConfig
 
     obs = _obs_from(args)
     setup = prepare(args.benchmark, args.nodes, seed=args.seed)
-    results = run_performance(setup, kinds=(args.topology,), obs=obs)
-    print(results[args.topology].summary())
+    cell = PerformanceCell(
+        label=f"{setup.name}/{args.topology}",
+        program=setup.benchmark.program,
+        topology=setup.topology(args.topology),
+        config=SimConfig(),
+        link_delays=setup.link_delays(args.topology),
+    )
+    (outcome,) = run_cells([cell], obs=obs)
+    print(result_from_dict(outcome.payload).summary())
     _write_obs(args, obs)
     return 0
 

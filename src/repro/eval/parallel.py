@@ -51,10 +51,11 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.errors import ReproError
 from repro.eval.serialize import canonical_json, config_to_dict, result_to_dict
+from repro.model.message import Communication
 from repro.model.pattern import CommunicationPattern
 from repro.obs import DISABLED, Observability
 from repro.faults.repair import repair_routes
@@ -308,60 +309,33 @@ def _program_fingerprint(program: Program) -> dict:
     }
 
 
-def _routing_fingerprint(topology: Topology, program: Program, source_routed: bool) -> dict:
-    """Concrete routes for deterministic policies, policy name otherwise."""
-    if topology.kind == "torus" and not source_routed:
-        return {"policy": "adaptive-minimal"}
-    routes = {}
-    for comm in program.communication_pairs():
-        r = topology.routing.route(comm)
-        routes[f"{comm.source}->{comm.dest}"] = [
-            list(r.switch_path),
-            list(r.link_ids),
-        ]
-    return {"policy": "source", "routes": routes}
+def _all_pairs(n: int) -> Iterable[Communication]:
+    """Every ordered (source, dest) pair of ``n`` processors."""
+    return (
+        Communication(src, dest) for src in range(n) for dest in range(n) if src != dest
+    )
 
 
 def _topology_fingerprint(
     topology: Topology,
-    program: Program,
+    pairs: Callable[[], Iterable[Communication]],
     link_delays: Optional[Dict[int, int]],
-    source_routed: bool,
+    adaptive: bool,
 ) -> dict:
-    return {
-        "name": topology.name,
-        "kind": topology.kind,
-        "graph": topology.network.describe(),
-        "routing": _routing_fingerprint(topology, program, source_routed),
-        "link_delays": (
-            sorted(link_delays.items()) if link_delays is not None else None
-        ),
-    }
+    """The topology's graph, link delays and routing.
 
-
-def _openloop_topology_fingerprint(
-    topology: Topology, link_delays: Optional[Dict[int, int]]
-) -> dict:
-    """Program-independent topology fingerprint for open-loop cells.
-
-    Open-loop traffic draws destinations over *all* node pairs, so the
-    routing fingerprint covers the full pair matrix for deterministic
-    (source-routed) policies; the torus stays a policy name exactly as
-    in :func:`_routing_fingerprint`.
+    An adaptive policy is fingerprinted by name; a deterministic one by
+    the concrete switch path and link ids of every pair ``pairs()``
+    yields (called only then): the program's pairs for a trace replay,
+    every pair for open-loop traffic.
     """
-    if topology.kind == "torus":
+    if adaptive:
         routing: dict = {"policy": "adaptive-minimal"}
     else:
-        from repro.model.message import Communication
-
-        n = topology.network.num_processors
         routes = {}
-        for src in range(n):
-            for dest in range(n):
-                if src == dest:
-                    continue
-                r = topology.routing.route(Communication(src, dest))
-                routes[f"{src}->{dest}"] = [list(r.switch_path), list(r.link_ids)]
+        for comm in pairs():
+            r = topology.routing.route(comm)
+            routes[f"{comm.source}->{comm.dest}"] = [list(r.switch_path), list(r.link_ids)]
         routing = {"policy": "source", "routes": routes}
     return {
         "name": topology.name,
@@ -428,7 +402,10 @@ class PerformanceCell:
                 "kind": "performance",
                 "program": _program_fingerprint(self.program),
                 "topology": _topology_fingerprint(
-                    self.topology, self.program, self.link_delays, source_routed=False
+                    self.topology,
+                    self.program.communication_pairs,
+                    self.link_delays,
+                    adaptive=self.topology.kind == "torus",
                 ),
                 "config": config_to_dict(self.config),
             }
@@ -469,7 +446,10 @@ class ResilienceCell:
                 "kind": "resilience",
                 "program": _program_fingerprint(self.program),
                 "topology": _topology_fingerprint(
-                    self.topology, self.program, self.link_delays, source_routed=True
+                    self.topology,
+                    self.program.communication_pairs,
+                    self.link_delays,
+                    adaptive=False,
                 ),
                 "config": config_to_dict(self.config),
                 "scenario": (
@@ -552,8 +532,11 @@ class OpenLoopCell:
             {
                 "version": code_version_tag(),
                 "kind": "openloop",
-                "topology": _openloop_topology_fingerprint(
-                    self.topology, self.link_delays
+                "topology": _topology_fingerprint(
+                    self.topology,
+                    lambda: _all_pairs(self.topology.network.num_processors),
+                    self.link_delays,
+                    adaptive=self.topology.kind == "torus",
                 ),
                 "pattern": self.pattern,
                 "injection_rate": self.injection_rate,
@@ -595,10 +578,11 @@ class SynthesisCell:
     design: the pattern's full fingerprint (message timing windows
     shape the contention cliques), the design constraints, the seed,
     the optional :class:`~repro.synthesis.annealing.AnnealSchedule`
-    driving temperature moves, the ablation knobs, and the code version
-    tag.  The payload is either ``{"status": "ok", "design": ...}``
-    with the design losslessly serialized through
-    :func:`repro.eval.serialize.design_to_dict`, or
+    driving temperature moves, and the code version tag.  Each cell is
+    one synthesis attempt (``restarts=1``): the portfolio's seeds
+    replace serial restarts.  The payload is either
+    ``{"status": "ok", "design": ...}`` with the design losslessly
+    serialized through :func:`repro.eval.serialize.design_to_dict`, or
     ``{"status": "infeasible", "error": ...}`` — failures are cached
     like successes, so a repeated portfolio never re-pays for a seed
     whose constraints proved unsatisfiable (at 64+ nodes a failed run
@@ -614,9 +598,6 @@ class SynthesisCell:
     seed: int
     constraints: Optional["DesignConstraints"] = None
     schedule: Optional["AnnealSchedule"] = None
-    restarts: int = 1
-    reroute: bool = True
-    moves: bool = True
 
     def key(self) -> str:
         return cell_key(
@@ -631,9 +612,6 @@ class SynthesisCell:
                 "schedule": (
                     asdict(self.schedule) if self.schedule is not None else None
                 ),
-                "restarts": self.restarts,
-                "reroute": self.reroute,
-                "moves": self.moves,
             }
         )
 
@@ -647,9 +625,7 @@ class SynthesisCell:
                 self.pattern,
                 constraints=self.constraints,
                 seed=self.seed,
-                restarts=self.restarts,
-                reroute=self.reroute,
-                moves=self.moves,
+                restarts=1,
                 anneal_schedule=self.schedule,
                 obs=obs,
             )

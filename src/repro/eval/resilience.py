@@ -29,16 +29,10 @@ from repro.eval.parallel import (
 )
 from repro.eval.serialize import result_from_dict
 from repro.faults.spec import FaultScenario
-from repro.model.message import Communication
 from repro.simulator.config import SimConfig
 from repro.simulator.stats import SimulationResult
 from repro.topology.builders import Topology
 from repro.workloads.events import Program
-
-
-def program_pairs(program: Program) -> Tuple[Communication, ...]:
-    """The distinct (source, dest) pairs a program communicates over."""
-    return program.communication_pairs()
 
 
 @dataclass(frozen=True)

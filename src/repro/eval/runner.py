@@ -1,7 +1,9 @@
-"""Orchestration: benchmark -> synthesized design -> floorplan -> sims.
+"""Orchestration: benchmark -> synthesized design -> floorplan.
 
-Setups are cached per (benchmark, size, seed), since synthesis and
-placement dominate the cost of regenerating the paper's figures.
+A :class:`BenchmarkSetup` holds everything the evaluation cells of
+:mod:`repro.eval.parallel` replay on.  Setups are cached per
+(benchmark, size, seed), since synthesis and placement dominate the
+cost of regenerating the paper's figures.
 """
 
 from __future__ import annotations
@@ -12,9 +14,6 @@ from typing import Dict, Optional
 
 from repro.floorplan.place import Floorplan, place
 from repro.obs import DISABLED, Observability
-from repro.simulator.config import SimConfig
-from repro.simulator.simulation import simulate
-from repro.simulator.stats import SimulationResult
 from repro.synthesis.generator import GeneratedDesign, generate_network
 from repro.topology.builders import Topology, crossbar, mesh_for, torus_for, torus_link_delays
 from repro.workloads.nas import Benchmark, benchmark
@@ -97,55 +96,3 @@ def prepare(
     if obs is None or not obs.enabled:
         return _prepare_cached(name, n, seed, restarts)
     return _build_setup(name, n, seed, restarts, obs)
-
-
-def run_performance(
-    setup: BenchmarkSetup,
-    config: Optional[SimConfig] = None,
-    kinds: tuple = TOPOLOGY_ORDER,
-    obs: Optional[Observability] = None,
-) -> Dict[str, SimulationResult]:
-    """Simulate the benchmark's program on each requested topology."""
-    config = config or SimConfig()
-    obs = obs if obs is not None else DISABLED
-    results = {}
-    for kind in kinds:
-        with obs.tracer.span("eval.performance", benchmark=setup.name, kind=kind):
-            results[kind] = simulate(
-                setup.benchmark.program,
-                setup.topology(kind),
-                config,
-                link_delays=setup.link_delays(kind),
-                obs=obs,
-            )
-    return results
-
-
-def run_cross_workload(
-    host_setup: BenchmarkSetup,
-    guest_setup: BenchmarkSetup,
-    config: Optional[SimConfig] = None,
-) -> Dict[str, SimulationResult]:
-    """Replay a guest benchmark on the host's generated network
-    (Section 4.2's robustness study).
-
-    Returns results for the guest on its own network, on the host's
-    network, and on the mesh baseline.
-    """
-    config = config or SimConfig()
-    program = guest_setup.benchmark.program
-    return {
-        "own": simulate(
-            program,
-            guest_setup.design.topology,
-            config,
-            link_delays=guest_setup.floorplan.link_delays(),
-        ),
-        "host": simulate(
-            program,
-            host_setup.design.topology,
-            config,
-            link_delays=host_setup.floorplan.link_delays(),
-        ),
-        "mesh": simulate(program, guest_setup.baselines["mesh"], config),
-    }

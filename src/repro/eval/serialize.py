@@ -35,6 +35,21 @@ class SerializationError(ReproError):
     """A payload could not be encoded or decoded."""
 
 
+def _malformed(kind: str, raw: object, exc: Exception) -> SerializationError:
+    """The named error a decoder raises in place of a stray lookup error.
+
+    Decoders index their payload directly and convert the failure here,
+    so well-formed payloads pay for no per-field check.
+    """
+    if not isinstance(raw, dict):
+        return SerializationError(
+            f"{kind} payload must be a JSON object, got {type(raw).__name__}"
+        )
+    if isinstance(exc, KeyError):
+        return SerializationError(f"{kind} payload lacks field {exc.args[0]!r}")
+    return SerializationError(f"malformed {kind} payload: {exc}")
+
+
 def encode_resource(resource: Tuple) -> str:
     """Stable string form of a directed-channel resource tuple.
 
@@ -110,21 +125,28 @@ def result_to_dict(result: SimulationResult) -> dict:
 
 
 def result_from_dict(raw: dict) -> SimulationResult:
-    """Invert :func:`result_to_dict`."""
-    return SimulationResult(
-        topology_name=raw["topology_name"],
-        program_name=raw["program_name"],
-        execution_cycles=raw["execution_cycles"],
-        comm_cycles_per_process=tuple(raw["comm_cycles_per_process"]),
-        delivered_packets=raw["delivered_packets"],
-        deadlocks_detected=raw["deadlocks_detected"],
-        retransmissions=raw["retransmissions"],
-        fault_packet_kills=raw["fault_packet_kills"],
-        flit_hops=raw["flit_hops"],
-        link_utilization=decode_link_utilization(raw["link_utilization"]),
-        config=config_from_dict(raw["config"]),
-        packet_latencies=tuple(raw["packet_latencies"]),
-    )
+    """Invert :func:`result_to_dict`.
+
+    Raises:
+        SerializationError: ``raw`` is not a dict or lacks a field.
+    """
+    try:
+        return SimulationResult(
+            topology_name=raw["topology_name"],
+            program_name=raw["program_name"],
+            execution_cycles=raw["execution_cycles"],
+            comm_cycles_per_process=tuple(raw["comm_cycles_per_process"]),
+            delivered_packets=raw["delivered_packets"],
+            deadlocks_detected=raw["deadlocks_detected"],
+            retransmissions=raw["retransmissions"],
+            fault_packet_kills=raw["fault_packet_kills"],
+            flit_hops=raw["flit_hops"],
+            link_utilization=decode_link_utilization(raw["link_utilization"]),
+            config=config_from_dict(raw["config"]),
+            packet_latencies=tuple(raw["packet_latencies"]),
+        )
+    except (KeyError, TypeError) as exc:
+        raise _malformed("simulation result", raw, exc) from exc
 
 
 def loadpoint_to_dict(point: LoadPoint) -> dict:
@@ -142,17 +164,24 @@ def loadpoint_to_dict(point: LoadPoint) -> dict:
 
 
 def loadpoint_from_dict(raw: dict) -> LoadPoint:
-    """Invert :func:`loadpoint_to_dict`."""
-    return LoadPoint(
-        offered_flits_per_node_cycle=raw["offered_flits_per_node_cycle"],
-        accepted_flits_per_node_cycle=raw["accepted_flits_per_node_cycle"],
-        avg_latency=raw["avg_latency"],
-        delivered=raw["delivered"],
-        saturated=raw["saturated"],
-        p50_latency=raw["p50_latency"],
-        p95_latency=raw["p95_latency"],
-        p99_latency=raw["p99_latency"],
-    )
+    """Invert :func:`loadpoint_to_dict`.
+
+    Raises:
+        SerializationError: ``raw`` is not a dict or lacks a field.
+    """
+    try:
+        return LoadPoint(
+            offered_flits_per_node_cycle=raw["offered_flits_per_node_cycle"],
+            accepted_flits_per_node_cycle=raw["accepted_flits_per_node_cycle"],
+            avg_latency=raw["avg_latency"],
+            delivered=raw["delivered"],
+            saturated=raw["saturated"],
+            p50_latency=raw["p50_latency"],
+            p95_latency=raw["p95_latency"],
+            p99_latency=raw["p99_latency"],
+        )
+    except (KeyError, TypeError) as exc:
+        raise _malformed("load point", raw, exc) from exc
 
 
 def design_to_dict(design: "GeneratedDesign") -> dict:
@@ -221,6 +250,10 @@ def design_from_dict(raw: dict, pattern: "CommunicationPattern") -> "GeneratedDe
     partition state does not survive serialization, only its counters do
     (``stats``).  Round-tripping the result through
     :func:`design_to_dict` is byte-identical.
+
+    Raises:
+        SerializationError: ``raw`` is not a dict, lacks a field, or was
+            synthesized for another pattern.
     """
     from repro.model.cliques import CliqueAnalysis
     from repro.model.contention import ContentionEvent
@@ -231,63 +264,66 @@ def design_from_dict(raw: dict, pattern: "CommunicationPattern") -> "GeneratedDe
     from repro.topology.network import Network
     from repro.topology.routing import TableRouting, make_route
 
-    if raw["pattern_name"] != pattern.name:
-        raise SerializationError(
-            f"design was synthesized for pattern {raw['pattern_name']!r}, "
-            f"got {pattern.name!r}"
-        )
-    net = Network(raw["num_processors"])
-    for _ in range(raw["num_switches"]):
-        net.add_switch()
-    for proc, switch in enumerate(raw["processors"]):
-        net.attach_processor(proc, switch)
-    for u, v in raw["links"]:
-        net.add_link(u, v)
-    routes = [
-        make_route(
-            net,
-            Communication(source, dest),
-            switch_path,
-            link_choices=dict(enumerate(link_ids)),
-        )
-        for source, dest, switch_path, link_ids in raw["routes"]
-    ]
-    routing = FallbackRouting(TableRouting(routes), net)
-    rawcert = raw["certificate"]
-    certificate = ContentionCertificate(
-        contention_free=rawcert["contention_free"],
-        contention_set_size=rawcert["contention_set_size"],
-        conflict_set_size=rawcert["conflict_set_size"],
-        violations=tuple(
-            ContentionViolation(
-                event=ContentionEvent.of(
-                    Communication(s1, d1), Communication(s2, d2)
-                ),
-                links=tuple(links),
+    try:
+        if raw["pattern_name"] != pattern.name:
+            raise SerializationError(
+                f"design was synthesized for pattern {raw['pattern_name']!r}, "
+                f"got {pattern.name!r}"
             )
-            for (s1, d1, s2, d2), links in rawcert["violations"]
-        ),
-    )
-    topology = Topology(
-        name=f"generated-{pattern.name}",
-        network=net,
-        routing=routing,
-        coords=None,
-        kind="generated",
-    )
-    return GeneratedDesign(
-        topology=topology,
-        pattern=pattern,
-        analysis=CliqueAnalysis.of(pattern),
-        certificate=certificate,
-        switch_map={s: n for s, n in raw["switch_map"]},
-        pipe_links={
-            frozenset(pair): tuple(ids) for pair, ids in raw["pipe_links"]
-        },
-        seed=raw["seed"],
-        stats=DesignStats(**raw["stats"]),
-        result=None,
-    )
+        net = Network(raw["num_processors"])
+        for _ in range(raw["num_switches"]):
+            net.add_switch()
+        for proc, switch in enumerate(raw["processors"]):
+            net.attach_processor(proc, switch)
+        for u, v in raw["links"]:
+            net.add_link(u, v)
+        routes = [
+            make_route(
+                net,
+                Communication(source, dest),
+                switch_path,
+                link_choices=dict(enumerate(link_ids)),
+            )
+            for source, dest, switch_path, link_ids in raw["routes"]
+        ]
+        routing = FallbackRouting(TableRouting(routes), net)
+        rawcert = raw["certificate"]
+        certificate = ContentionCertificate(
+            contention_free=rawcert["contention_free"],
+            contention_set_size=rawcert["contention_set_size"],
+            conflict_set_size=rawcert["conflict_set_size"],
+            violations=tuple(
+                ContentionViolation(
+                    event=ContentionEvent.of(
+                        Communication(s1, d1), Communication(s2, d2)
+                    ),
+                    links=tuple(links),
+                )
+                for (s1, d1, s2, d2), links in rawcert["violations"]
+            ),
+        )
+        topology = Topology(
+            name=f"generated-{pattern.name}",
+            network=net,
+            routing=routing,
+            coords=None,
+            kind="generated",
+        )
+        return GeneratedDesign(
+            topology=topology,
+            pattern=pattern,
+            analysis=CliqueAnalysis.of(pattern),
+            certificate=certificate,
+            switch_map={s: n for s, n in raw["switch_map"]},
+            pipe_links={
+                frozenset(pair): tuple(ids) for pair, ids in raw["pipe_links"]
+            },
+            seed=raw["seed"],
+            stats=DesignStats(**raw["stats"]),
+            result=None,
+        )
+    except (KeyError, TypeError) as exc:
+        raise _malformed("design", raw, exc) from exc
 
 
 def canonical_json(payload) -> str:

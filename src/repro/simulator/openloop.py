@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
 from repro.obs import Observability
@@ -23,30 +23,22 @@ from repro.simulator.engine import Engine
 from repro.simulator.routing import SimRouting
 from repro.simulator.simulation import routing_policy_for
 from repro.simulator.stats import nearest_rank_percentile
-
-# The synthetic pattern suite lives in repro.sweeps.patterns (one
-# extensible registry shared with the sweep driver); re-exported here
-# for backward compatibility.  ``PATTERNS`` now covers the full
-# canonical suite — including the factory-registered hotspot — and
-# ``resolve_pattern`` parses parameterized specs like "hotspot:3:0.8".
-from repro.sweeps.patterns import (  # noqa: F401 - re-exports
-    PATTERNS,
-    DestinationPattern,
-    bit_complement_pattern,
-    bit_reverse_pattern,
-    bit_rotation_pattern,
-    hotspot_pattern,
-    neighbor_pattern,
-    resolve_pattern,
-    shuffle_pattern,
-    tornado_pattern,
-    transpose_pattern,
-    uniform_random,
-)
 from repro.topology.builders import Topology
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults.state import FaultState
+
+# dest = pattern(source, num_nodes, rng); returning the source resamples.
+# The canonical suite of such patterns, and the registry that resolves
+# spec strings like "hotspot:3:0.8", is repro.sweeps.patterns.
+DestinationPattern = Callable[[int, int, random.Random], int]
+
+
+def uniform_random(src: int, n: int, rng: random.Random) -> int:
+    """Every other node equally likely (the default open-loop pattern)."""
+    dest = rng.randrange(n - 1)
+    return dest if dest < src else dest + 1
+
 
 # Bounded retries when a pattern returns the source: enough that any
 # pattern with a non-vanishing chance of another node virtually always

@@ -13,18 +13,25 @@ Three layers (see ``docs/SWEEPS.md``):
 * :mod:`repro.sweeps.report` — schema-versioned canonical-JSON
   :class:`SaturationCurve` / :class:`SweepResult` artifacts with
   CSV/table rendering and the robustness-study degradation table.
-
-``driver``/``report`` are imported lazily: :mod:`repro.simulator.openloop`
-re-exports the pattern suite from this package, and an eager driver
-import here would close that cycle back onto a half-initialized
-``openloop`` module.
 """
 
 from __future__ import annotations
 
+from repro.sweeps.driver import (
+    CRITERIA,
+    STUDY_TOPOLOGIES,
+    SweepConfig,
+    criterion_latency,
+    detect_saturation,
+    latency_reference,
+    point_is_saturated,
+    run_sweep,
+    run_sweep_suite,
+    spare_link_variant,
+    study_topology,
+)
 from repro.sweeps.patterns import (
     DestinationPattern,
-    PATTERNS,
     adversarial_pattern,
     adversarial_permutation,
     bit_complement_pattern,
@@ -43,56 +50,51 @@ from repro.sweeps.patterns import (
     transpose_pattern,
     uniform_random,
 )
-
-_LAZY = {
-    "CRITERIA": "repro.sweeps.driver",
-    "STUDY_TOPOLOGIES": "repro.sweeps.driver",
-    "SweepConfig": "repro.sweeps.driver",
-    "criterion_latency": "repro.sweeps.driver",
-    "detect_saturation": "repro.sweeps.driver",
-    "latency_reference": "repro.sweeps.driver",
-    "point_is_saturated": "repro.sweeps.driver",
-    "run_sweep": "repro.sweeps.driver",
-    "run_sweep_suite": "repro.sweeps.driver",
-    "spare_link_variant": "repro.sweeps.driver",
-    "study_topology": "repro.sweeps.driver",
-    "SWEEP_SCHEMA": "repro.sweeps.report",
-    "SaturationCurve": "repro.sweeps.report",
-    "SweepResult": "repro.sweeps.report",
-    "curve_csv": "repro.sweeps.report",
-    "curve_plot": "repro.sweeps.report",
-    "curve_table": "repro.sweeps.report",
-    "degradation_table": "repro.sweeps.report",
-}
+from repro.sweeps.report import (
+    SWEEP_SCHEMA,
+    SaturationCurve,
+    SweepResult,
+    curve_csv,
+    curve_plot,
+    curve_table,
+    degradation_table,
+)
 
 __all__ = [
+    "CRITERIA",
     "DestinationPattern",
-    "PATTERNS",
+    "STUDY_TOPOLOGIES",
+    "SWEEP_SCHEMA",
+    "SaturationCurve",
+    "SweepConfig",
+    "SweepResult",
     "adversarial_pattern",
     "adversarial_permutation",
     "bit_complement_pattern",
     "bit_reverse_pattern",
     "bit_rotation_pattern",
     "canonical_spec",
+    "criterion_latency",
+    "curve_csv",
+    "curve_plot",
+    "curve_table",
+    "degradation_table",
+    "detect_saturation",
     "hotspot_pattern",
+    "latency_reference",
     "neighbor_pattern",
     "pattern_catalog",
     "pattern_entries",
     "pattern_names",
+    "point_is_saturated",
     "register_pattern",
     "resolve_pattern",
+    "run_sweep",
+    "run_sweep_suite",
     "shuffle_pattern",
+    "spare_link_variant",
+    "study_topology",
     "tornado_pattern",
     "transpose_pattern",
     "uniform_random",
-    *sorted(_LAZY),
 ]
-
-
-def __getattr__(name: str):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)

@@ -7,8 +7,9 @@ the Pareto-optimization and guaranteed-QoS lines of work in PAPERS.md).
 This module provides that suite as composable
 :data:`DestinationPattern` callables plus a registry mapping pattern
 *specs* — strings like ``"tornado"`` or ``"hotspot:3:0.8"`` — to
-resolved callables.  :mod:`repro.simulator.openloop` re-exports the
-primitives for backward compatibility.
+resolved callables.  The pattern type and the default
+``uniform_random`` pattern belong to :mod:`repro.simulator.openloop`,
+which injects the traffic; this module builds the suite on them.
 
 Pattern contract
 ----------------
@@ -49,12 +50,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import SimulationError
+from repro.simulator.openloop import DestinationPattern, uniform_random
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.topology.builders import Topology
-
-# dest = pattern(source, num_nodes, rng); returning the source resamples.
-DestinationPattern = Callable[[int, int, random.Random], int]
 
 # (pattern name, n) pairs that already warned about a fallback.
 _WARNED: Set[Tuple[str, int]] = set()
@@ -132,12 +131,6 @@ def require_power_of_two(name: str, n: int) -> None:
 # ---------------------------------------------------------------------------
 # The canonical suite
 # ---------------------------------------------------------------------------
-
-
-def uniform_random(src: int, n: int, rng: random.Random) -> int:
-    """Every other node equally likely."""
-    dest = rng.randrange(n - 1)
-    return dest if dest < src else dest + 1
 
 
 def neighbor_pattern(src: int, n: int, rng: random.Random) -> int:
@@ -515,14 +508,3 @@ register_pattern(
     "adversarial", _adversarial_factory, needs_topology=True,
     description="routing-aware permutation maximizing peak channel load",
 )
-
-
-#: Default-parameter resolution of every non-routing-aware family, kept
-#: as a plain mapping for backward compatibility with the original
-#: ``openloop.PATTERNS`` dict (``adversarial`` is excluded — it cannot
-#: resolve without a topology; use :func:`resolve_pattern`).
-PATTERNS: Dict[str, DestinationPattern] = {
-    name: _REGISTRY[name].factory((), None)
-    for name in pattern_names()
-    if not _REGISTRY[name].needs_topology
-}

@@ -15,16 +15,15 @@ The winner is selected from the cells' JSON payloads by
 winning payload via :func:`~repro.eval.serialize.design_from_dict`, so
 the returned design is byte-identical (under ``design_to_dict``) across
 ``--jobs`` values and cold/warm cache states — the same guarantee the
-eval determinism harness pins for simulation grids.  The optional
-early-stop race (``target_objective``) breaks that cross-``jobs``
-identity by construction (how many cells run depends on the wave width)
-and is therefore off by default.
+eval determinism harness pins for simulation grids.  Every cell of the
+grid always runs (or hits the cache), so the set of candidates never
+depends on the worker count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import SynthesisError
 from repro.eval.parallel import (
@@ -32,7 +31,6 @@ from repro.eval.parallel import (
     ProgressCallback,
     ResultCache,
     SynthesisCell,
-    resolve_jobs,
     run_cells,
 )
 from repro.eval.serialize import design_from_dict
@@ -68,26 +66,12 @@ class PortfolioConfig:
             (``None`` entries run the Appendix's greedy walk only), so
             the portfolio has ``size * len(schedules)`` runs.
         objective: key into :data:`OBJECTIVES` ranking the candidates.
-        restarts: in-process restarts per run (kept at 1 by default —
-            the portfolio's seeds replace serial restarts).
-        reroute: enable the global route optimizer (ablation knob).
-        moves: enable inter-partition processor moves (ablation knob).
-        target_objective: when set, runs execute in waves of the
-            effective ``jobs`` width and the race stops at the first
-            wave containing a candidate at or below this objective
-            value.  Results then depend on the wave width, so this
-            breaks the cross-``jobs`` byte-identity guarantee; off by
-            default.
     """
 
     size: int = 8
     seed_base: int = 0
     schedules: Tuple[Optional[AnnealSchedule], ...] = (None,)
     objective: str = "links"
-    restarts: int = 1
-    reroute: bool = True
-    moves: bool = True
-    target_objective: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.size < 1:
@@ -99,8 +83,6 @@ class PortfolioConfig:
                 f"unknown objective {self.objective!r}; "
                 f"choose from {sorted(OBJECTIVES)}"
             )
-        if self.restarts < 1:
-            raise SynthesisError(f"restarts must be positive, got {self.restarts}")
 
 
 @dataclass(frozen=True)
@@ -110,7 +92,7 @@ class PortfolioRun:
     label: str
     seed: int
     schedule_index: int
-    status: str  # "ok" | "infeasible" | "skipped" (early-stop race only)
+    status: str  # "ok" | "infeasible"
     cache_hit: bool
     seconds: float
     objective: Optional[float] = None
@@ -128,7 +110,6 @@ class PortfolioResult:
     winner: PortfolioRun
     runs: Tuple[PortfolioRun, ...]
     objective: str
-    early_stopped: bool = False
 
     def summary_dict(self) -> dict:
         """Deterministic summary (no timings, no cache state) — the
@@ -161,8 +142,6 @@ class PortfolioResult:
         lines = [header, "-" * len(header)]
         for run in self.runs:
             timing = "cached" if run.cache_hit else f"{run.seconds:.2f}s"
-            if run.status == "skipped":
-                timing = "-"
             obj = f"{run.objective:.2f}" if run.objective is not None else "-"
             links = str(run.links) if run.links is not None else "-"
             switches = str(run.switches) if run.switches is not None else "-"
@@ -192,9 +171,6 @@ def portfolio_cells(
                     seed=seed,
                     constraints=constraints,
                     schedule=schedule,
-                    restarts=config.restarts,
-                    reroute=config.reroute,
-                    moves=config.moves,
                 )
             )
     return cells
@@ -202,19 +178,10 @@ def portfolio_cells(
 
 def _summarize(
     cell: SynthesisCell,
-    outcome: Optional[CellOutcome],
+    outcome: CellOutcome,
     schedule_index: int,
     objective: Callable[[dict], float],
 ) -> PortfolioRun:
-    if outcome is None:
-        return PortfolioRun(
-            label=cell.label,
-            seed=cell.seed,
-            schedule_index=schedule_index,
-            status="skipped",
-            cache_hit=False,
-            seconds=0.0,
-        )
     payload = outcome.payload
     if payload.get("status") != "ok":
         return PortfolioRun(
@@ -239,40 +206,6 @@ def _summarize(
         switches=design["num_switches"],
         contention_free=design["certificate"]["contention_free"],
     )
-
-
-def _race(
-    cells: Sequence[SynthesisCell],
-    target: float,
-    objective: Callable[[dict], float],
-    jobs: Optional[int],
-    cache: Optional[ResultCache],
-    progress: Optional[ProgressCallback],
-    obs: Observability,
-) -> Tuple[List[Optional[CellOutcome]], bool]:
-    """Early-stop race: fixed-width waves until the target is met.
-
-    Deterministic for a *fixed* ``jobs`` value (waves are prefixes of
-    the cell grid in order), but the set of executed cells depends on
-    the wave width — which is why the race is opt-in.
-    """
-    wave = resolve_jobs(jobs) or 1
-    outcomes: List[Optional[CellOutcome]] = [None] * len(cells)
-    for start in range(0, len(cells), wave):
-        chunk = list(cells[start : start + wave])
-        for offset, outcome in enumerate(
-            run_cells(chunk, jobs=jobs, cache=cache, progress=progress, obs=obs)
-        ):
-            outcomes[start + offset] = outcome
-        met = any(
-            o is not None
-            and o.payload.get("status") == "ok"
-            and objective(o.payload["design"]) <= target
-            for o in outcomes[: start + len(chunk)]
-        )
-        if met:
-            return outcomes, start + len(chunk) < len(cells)
-    return outcomes, False
 
 
 def synthesize_portfolio(
@@ -304,21 +237,7 @@ def synthesize_portfolio(
         runs=len(cells),
         objective=config.objective,
     ):
-        if config.target_objective is None:
-            executed: List[Optional[CellOutcome]] = list(
-                run_cells(cells, jobs=jobs, cache=cache, progress=progress, obs=obs)
-            )
-            early_stopped = False
-        else:
-            executed, early_stopped = _race(
-                cells,
-                config.target_objective,
-                objective,
-                jobs,
-                cache,
-                progress,
-                obs,
-            )
+        executed = run_cells(cells, jobs=jobs, cache=cache, progress=progress, obs=obs)
     schedules = len(config.schedules)
     runs = tuple(
         _summarize(cell, outcome, i % schedules, objective)
@@ -336,8 +255,6 @@ def synthesize_portfolio(
         m.counter("portfolio.infeasible").inc(
             sum(1 for r in runs if r.status == "infeasible")
         )
-        if early_stopped:
-            m.counter("portfolio.early_stops").inc()
     if not ranked:
         errors = [f"{run.label}: {run.error}" for run in runs if run.error]
         raise SynthesisError(
@@ -346,9 +263,7 @@ def synthesize_portfolio(
         )
     _, _, _, winner_index = min(ranked)
     winner = runs[winner_index]
-    winning_outcome = executed[winner_index]
-    assert winning_outcome is not None  # ranked only holds executed runs
-    design = design_from_dict(winning_outcome.payload["design"], pattern)
+    design = design_from_dict(executed[winner_index].payload["design"], pattern)
     if obs.metrics.enabled:
         m = obs.metrics
         m.gauge("portfolio.winner_seed").set(winner.seed)
@@ -360,5 +275,4 @@ def synthesize_portfolio(
         winner=winner,
         runs=runs,
         objective=config.objective,
-        early_stopped=early_stopped,
     )

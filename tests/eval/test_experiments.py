@@ -3,14 +3,16 @@
 import pytest
 
 from repro.eval import (
-    BenchmarkSetup,
+    TOPOLOGY_ORDER,
+    PerformanceCell,
     cross_workload_table,
     figure7_rows,
     figure7_table,
     figure8_table,
     paper_sizes,
     prepare,
-    run_performance,
+    result_from_dict,
+    run_cells,
 )
 from repro.eval.experiments import CrossWorkloadRow, Figure8Row
 from repro.simulator import SimConfig
@@ -23,7 +25,22 @@ def cg8():
 
 @pytest.fixture(scope="module")
 def cg8_results(cg8):
-    return run_performance(cg8, config=SimConfig(max_cycles=5_000_000))
+    config = SimConfig(max_cycles=5_000_000)
+    cells = [
+        PerformanceCell(
+            label=f"cg-8/{kind}",
+            program=cg8.benchmark.program,
+            topology=cg8.topology(kind),
+            config=config,
+            link_delays=cg8.link_delays(kind),
+        )
+        for kind in TOPOLOGY_ORDER
+    ]
+    outcomes = run_cells(cells)
+    return {
+        kind: result_from_dict(outcome.payload)
+        for kind, outcome in zip(TOPOLOGY_ORDER, outcomes)
+    }
 
 
 class TestPaperSizes:

@@ -9,7 +9,7 @@ delivered.
 
 import pytest
 
-from repro.eval import prepare, program_pairs, resilience_table, run_resilience
+from repro.eval import prepare, resilience_table, run_resilience
 from repro.faults import FaultScenario, LinkFault, single_link_scenarios
 from repro.model import Communication
 from repro.simulator import SimConfig
@@ -34,7 +34,7 @@ def _single_link_report(setup, kind, **kw):
 
 class TestProgramPairs:
     def test_pairs_are_distinct_and_sorted(self):
-        pairs = program_pairs(benchmark("cg", 8).program)
+        pairs = benchmark("cg", 8).program.communication_pairs()
         assert pairs == tuple(sorted(set(pairs)))
         assert all(isinstance(p, Communication) for p in pairs)
         assert pairs  # cg actually communicates

@@ -1,8 +1,11 @@
 """Round-trip and stability tests for the result serialization layer."""
 
 import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.eval.serialize import (
     SerializationError,
@@ -25,6 +28,36 @@ from repro.simulator.openloop import LoadPoint, run_open_loop
 from repro.topology import mesh
 from repro.topology import crossbar
 from repro.workloads import PhaseProgramBuilder
+
+
+# Payloads that are not JSON objects, as a corrupt cache entry or a
+# hand-edited artifact might hold.
+NON_OBJECTS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False),
+    st.text(max_size=8),
+    st.lists(st.integers(), max_size=3),
+)
+
+
+def _assert_fails_by_name(decode, payload, data):
+    """``decode`` raises a named error on ``payload`` with one field
+    removed, or on a non-object in its place."""
+    how, value = data.draw(
+        st.one_of(
+            st.sampled_from(sorted(payload)).map(lambda field: ("drop", field)),
+            NON_OBJECTS.map(lambda other: ("replace", other)),
+        )
+    )
+    if how == "drop":
+        raw = {k: v for k, v in payload.items() if k != value}
+        with pytest.raises(SerializationError, match=re.escape(f"lacks field {value!r}")):
+            decode(raw)
+    else:
+        with pytest.raises(SerializationError, match="must be a JSON object"):
+            decode(value)
 
 
 def _small_result():
@@ -80,6 +113,11 @@ class TestResourceEncoding:
         assert decode_link_utilization(encoded) == util
 
 
+@pytest.fixture(scope="module")
+def result_payload():
+    return result_to_dict(_small_result())
+
+
 class TestResultRoundTrip:
     def test_result_survives_json(self):
         result = _small_result()
@@ -94,6 +132,11 @@ class TestResultRoundTrip:
         once = result_to_dict(result)
         twice = result_to_dict(result_from_dict(json.loads(json.dumps(once))))
         assert canonical_json(once) == canonical_json(twice)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_malformed_payload_fails_by_name(self, result_payload, data):
+        _assert_fails_by_name(result_from_dict, result_payload, data)
 
     def test_config_round_trip(self):
         config = SimConfig(num_vcs=2, deadlock_threshold=123)
@@ -151,6 +194,13 @@ class TestDesignRoundTrip:
         assert restored.result is None
         assert restored.stats.bisections == generated.result.bisections
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_malformed_payload_fails_by_name(self, design, data):
+        pattern, generated = design
+        payload = design_to_dict(generated)
+        _assert_fails_by_name(lambda raw: design_from_dict(raw, pattern), payload, data)
+
     def test_pattern_name_mismatch_rejected(self, design):
         from repro.workloads import benchmark
 
@@ -173,6 +223,12 @@ class TestLoadPointRoundTrip:
         )
         raw = json.loads(json.dumps(loadpoint_to_dict(point)))
         assert loadpoint_from_dict(raw) == point
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_malformed_payload_fails_by_name(self, data):
+        payload = loadpoint_to_dict(LoadPoint(0.1, 0.09, 10.0, 5, False, 9, 12, 14))
+        _assert_fails_by_name(loadpoint_from_dict, payload, data)
 
     def test_percentile_fields_serialized(self):
         raw = loadpoint_to_dict(LoadPoint(0.1, 0.09, 10.0, 5, False, 9, 12, 14))

@@ -33,11 +33,8 @@ from repro.eval.power import estimate_energy
 from repro.faults import repair_routes, single_link_scenarios
 from repro.model import CliqueAnalysis
 from repro.simulator import SimConfig
-from repro.simulator.openloop import (
-    latency_throughput_curve,
-    transpose_pattern,
-    uniform_random,
-)
+from repro.simulator.openloop import latency_throughput_curve
+from repro.sweeps.patterns import transpose_pattern, uniform_random
 from repro.synthesis import (
     AnnealSchedule,
     Partitioner,

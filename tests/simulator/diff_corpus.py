@@ -186,6 +186,7 @@ TRACE_CASES: Tuple[TraceCase, ...] = (
         "faults-cg8-torus4x2-all-links",
         lambda: _faulted(_cg8_torus, [("all", [(3000, 3800)])]),
         lane=SLOW,
+        obs_sample_every=512,
     ),
 )
 

@@ -1,18 +1,25 @@
 """Tests for open-loop synthetic traffic evaluation."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.errors import SimulationError
 from repro.simulator.openloop import (
     LoadPoint,
-    hotspot_pattern,
     latency_throughput_curve,
-    neighbor_pattern,
     run_open_loop,
     saturation_throughput,
+)
+from repro.sweeps.patterns import (
+    hotspot_pattern,
+    neighbor_pattern,
     transpose_pattern,
     uniform_random,
 )
@@ -234,21 +241,20 @@ class TestCurve:
         assert len(points) == 2
 
 
-class TestRegistryReExport:
-    def test_openloop_patterns_is_the_sweeps_registry(self):
-        """``openloop.PATTERNS`` must be the same object as the sweeps
-        registry view so registrations are visible through both."""
-        from repro.simulator import openloop
-        from repro.sweeps import patterns as sweeps_patterns
-
-        assert openloop.PATTERNS is sweeps_patterns.PATTERNS
-        assert openloop.resolve_pattern is sweeps_patterns.resolve_pattern
-
-    def test_patterns_dict_has_canonical_suite(self):
-        from repro.simulator.openloop import PATTERNS
-
-        for name in (
-            "uniform", "neighbor", "tornado", "transpose", "hotspot",
-            "bit_complement", "bit_reverse", "bit_rotation", "shuffle",
-        ):
-            assert name in PATTERNS
+class TestImports:
+    def test_openloop_loads_no_sweeps_module(self):
+        """The simulator owns the pattern type and the default pattern;
+        the suite in ``repro.sweeps`` builds on them, never the reverse,
+        so importing the simulator cannot cycle back into the sweeps."""
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        probe = (
+            "import sys, repro.simulator.openloop; "
+            "print([m for m in sys.modules if m.startswith('repro.sweeps')])"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

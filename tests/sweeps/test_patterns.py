@@ -7,7 +7,6 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sweeps.patterns import (
-    PATTERNS,
     adversarial_pattern,
     adversarial_permutation,
     bit_complement_pattern,
@@ -46,14 +45,12 @@ class TestRegistry:
 
     def test_hotspot_registered_in_patterns_dict(self):
         """Regression: hotspot was defined but never registered, so the
-        legacy ``openloop.PATTERNS`` mapping silently lacked it."""
-        assert "hotspot" in PATTERNS
+        suite silently lacked it; its bare spec resolves to the defaults."""
+        assert "hotspot" in pattern_names()
         rng = random.Random(0)
-        hits = sum(PATTERNS["hotspot"](5, 8, rng) == 0 for _ in range(400))
+        pattern = resolve_pattern("hotspot")
+        hits = sum(pattern(5, 8, rng) == 0 for _ in range(400))
         assert 120 <= hits <= 280  # default bias 0.5 toward node 0
-
-    def test_patterns_dict_excludes_routing_aware(self):
-        assert "adversarial" not in PATTERNS
 
     def test_catalog_covers_every_name(self):
         catalog = pattern_catalog()

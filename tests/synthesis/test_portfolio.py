@@ -201,9 +201,6 @@ class TestCells:
             SynthesisCell(
                 label="x", pattern=cg8, seed=0, schedule=AnnealSchedule(steps=50)
             ),
-            SynthesisCell(label="x", pattern=cg8, seed=0, restarts=2),
-            SynthesisCell(label="x", pattern=cg8, seed=0, reroute=False),
-            SynthesisCell(label="x", pattern=cg8, seed=0, moves=False),
             SynthesisCell(label="x", pattern=benchmark("mg", 8).pattern, seed=0),
         ]
         keys = {base.key()} | {v.key() for v in variants}
@@ -235,8 +232,6 @@ class TestConfigAndSelection:
             PortfolioConfig(schedules=())
         with pytest.raises(SynthesisError, match="objective"):
             PortfolioConfig(objective="fastest")
-        with pytest.raises(SynthesisError, match="restarts"):
-            PortfolioConfig(restarts=0)
 
     def test_objectives_rank_payloads(self):
         payload = {
@@ -265,24 +260,3 @@ class TestConfigAndSelection:
         starred = [line for line in table.splitlines() if line.endswith("*")]
         assert len(starred) == 1
         assert f"s{result.winner.seed}" in starred[0]
-
-
-class TestEarlyStop:
-    def test_race_stops_at_met_target(self, cg8):
-        """With jobs=1 the race runs one cell per wave; a target any
-        feasible design meets stops after the first and marks the rest
-        skipped."""
-        result = synthesize_portfolio(
-            cg8, config=_config(target_objective=1e9), jobs=1
-        )
-        assert result.early_stopped
-        assert result.runs[0].status == "ok"
-        assert all(r.status == "skipped" for r in result.runs[1:])
-        assert result.winner is result.runs[0]
-
-    def test_unmet_target_runs_everything(self, cg8):
-        result = synthesize_portfolio(
-            cg8, config=_config(size=2, target_objective=0.0), jobs=1
-        )
-        assert not result.early_stopped
-        assert all(r.status != "skipped" for r in result.runs)

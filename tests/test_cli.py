@@ -69,16 +69,14 @@ class TestPortfolioSynthesis:
         assert args.portfolio is None
         assert args.seed_base is None
         assert args.objective is None
-        assert args.target_objective is None
 
     @pytest.mark.parametrize(
         "flags",
         [
             ["--objective", "avg-hops"],
             ["--seed-base", "5"],
-            ["--target-objective", "3"],
-            ["--objective", "avg-hops", "--seed-base", "5",
-             "--target-objective", "3"],
+            ["--seed-base", "0"],
+            ["--objective", "avg-hops", "--seed-base", "5"],
         ],
     )
     def test_portfolio_only_flags_need_portfolio(self, flags, capsys):
@@ -329,7 +327,6 @@ class TestCacheCommand:
                 SynthesisCell(
                     label="synth:ok", pattern=benchmark("cg", 8).pattern,
                     seed=0, constraints=DesignConstraints(max_degree=5),
-                    restarts=2,
                 )
             ],
             cache=cache,
