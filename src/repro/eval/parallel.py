@@ -49,9 +49,21 @@ import pickle
 import sys
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Union
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    ClassVar,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Union,
+)
 
 from repro.errors import ReproError
 from repro.eval.serialize import canonical_json, config_to_dict, result_to_dict
@@ -62,8 +74,10 @@ from repro.faults.repair import repair_routes
 from repro.faults.spec import FaultScenario, LinkFault, SwitchFault
 from repro.faults.state import FaultState
 from repro.simulator.config import SimConfig
+from repro.simulator.openloop import LoadPoint
 from repro.simulator.routing import BoundSourceRouted
 from repro.simulator.simulation import simulate
+from repro.simulator.stats import SimulationResult
 from repro.topology.builders import Topology
 from repro.workloads.events import Program, SendEvent
 
@@ -118,6 +132,14 @@ class ResultCache:
     def setups_dir(self) -> Path:
         return self.root / "setups"
 
+    @staticmethod
+    def _drop(path: Path) -> None:
+        """Delete an unusable entry; one already gone is fine."""
+        try:
+            path.unlink()
+        except OSError:
+            pass
+
     def _atomic_write(self, path: Path, data: bytes) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -142,14 +164,15 @@ class ResultCache:
             payload = None
         if isinstance(payload, dict):
             return payload
-        try:
-            path.unlink()
-        except OSError:
-            pass
+        ResultCache._drop(path)
         return None
 
     def get_result(self, key: str) -> Optional[dict]:
         return self._read_object(self.results_dir / f"{key}.json")
+
+    def drop_result(self, key: str) -> None:
+        """Delete a result entry, e.g. a JSON object of the wrong shape."""
+        self._drop(self.results_dir / f"{key}.json")
 
     def put_result(self, key: str, payload: dict) -> None:
         self._atomic_write(
@@ -185,10 +208,7 @@ class ResultCache:
             setup = None
         if isinstance(setup, BenchmarkSetup):
             return setup
-        try:
-            path.unlink()
-        except OSError:
-            pass
+        self._drop(path)
         return None
 
     def put_setup(self, key: str, setup) -> None:
@@ -383,6 +403,15 @@ def _pattern_fingerprint(pattern: CommunicationPattern) -> dict:
 # Cells
 # ---------------------------------------------------------------------------
 
+# Every cell class names, in ``payload_fields``, the top-level fields of
+# the payloads it computes, keyed by the payload's ``status`` (``None``
+# for a family without one).  A cached JSON object that does not carry
+# them was not written by that cell: run_cells drops it and recomputes.
+PayloadFields = Mapping[Optional[str], FrozenSet[str]]
+
+_RESULT_FIELDS = frozenset(f.name for f in fields(SimulationResult))
+_LOADPOINT_FIELDS = frozenset(f.name for f in fields(LoadPoint))
+
 
 @dataclass(frozen=True)
 class PerformanceCell:
@@ -394,6 +423,8 @@ class PerformanceCell:
     topology: Topology
     config: SimConfig
     link_delays: Optional[Dict[int, int]] = None
+
+    payload_fields: ClassVar[PayloadFields] = {None: _RESULT_FIELDS}
 
     def key(self) -> str:
         return cell_key(
@@ -438,6 +469,14 @@ class ResilienceCell:
     config: SimConfig
     link_delays: Optional[Dict[int, int]] = None
     scenario: Optional[FaultScenario] = None
+
+    payload_fields: ClassVar[PayloadFields] = {
+        "baseline": frozenset({"status", "result"}),
+        "disconnected": frozenset(
+            {"status", "rerouted_pairs", "disconnected_pairs", "stranded_messages"}
+        ),
+        "ok": frozenset({"status", "rerouted_pairs", "result"}),
+    }
 
     def key(self) -> str:
         return cell_key(
@@ -527,6 +566,8 @@ class OpenLoopCell:
     link_delays: Optional[Dict[int, int]] = None
     seed: int = 0
 
+    payload_fields: ClassVar[PayloadFields] = {None: _LOADPOINT_FIELDS}
+
     def key(self) -> str:
         return cell_key(
             {
@@ -599,6 +640,11 @@ class SynthesisCell:
     constraints: Optional["DesignConstraints"] = None
     schedule: Optional["AnnealSchedule"] = None
 
+    payload_fields: ClassVar[PayloadFields] = {
+        "ok": frozenset({"status", "design"}),
+        "infeasible": frozenset({"status", "error"}),
+    }
+
     def key(self) -> str:
         return cell_key(
             {
@@ -635,6 +681,13 @@ class SynthesisCell:
 
 
 Cell = Union[PerformanceCell, ResilienceCell, OpenLoopCell, SynthesisCell]
+
+
+def payload_fits(cell: Cell, payload: dict) -> bool:
+    """Whether ``payload`` carries every top-level field ``cell``
+    writes for the payload's status."""
+    required = cell.payload_fields.get(payload.get("status"))
+    return required is not None and required <= payload.keys()
 
 
 # ---------------------------------------------------------------------------
@@ -697,19 +750,21 @@ def _execute_cell(
     )
 
 
-def _observe_outcome(obs: Observability, outcome: CellOutcome) -> None:
+def _observe_outcome(obs: Observability, outcome: CellOutcome, cached: bool) -> None:
     """Coordinator-side accounting for one executed cell.
 
     Workers cannot carry an observability bundle across the process
     boundary, so the coordinator re-emits each cell as a pre-timed span
     from the :class:`CellOutcome` timing and counts cache traffic here.
+    Without a cache (``cached`` false) there is no traffic to count:
+    ``eval.cache.lookups`` still exists, at 0, because every profile
+    must report it.
     """
     m = obs.metrics
-    m.counter("eval.cache.lookups").inc()
-    if outcome.cache_hit:
-        m.counter("eval.cache.hits").inc()
-    else:
-        m.counter("eval.cache.misses").inc()
+    lookups = m.counter("eval.cache.lookups")
+    if cached:
+        lookups.inc()
+        m.counter("eval.cache.hits" if outcome.cache_hit else "eval.cache.misses").inc()
     m.record_wall(f"eval.cell.{outcome.label}", outcome.seconds)
     obs.tracer.complete(
         "eval.cell",
@@ -736,7 +791,8 @@ def run_cells(
     (``jobs<=0`` means every core).  Returns outcomes in cell order
     regardless of completion order, so callers build rows
     deterministically; ``progress`` fires once per cell as it resolves,
-    hits first.  ``obs`` records cache hit/miss counters and one span
+    hits first.  A cached payload without the fields the cell's
+    ``payload_fields`` names is dropped and recomputed as a miss.  ``obs`` records cache hit/miss counters and one span
     per cell (coordinator side only — payloads are never touched, so
     observability cannot perturb the determinism guarantee).
     """
@@ -752,7 +808,7 @@ def run_cells(
         outcomes[index] = outcome
         done += 1
         if obs.enabled:
-            _observe_outcome(obs, outcome)
+            _observe_outcome(obs, outcome, cache is not None)
         if progress is not None:
             progress(outcome, done, total)
 
@@ -761,6 +817,11 @@ def run_cells(
         started = time.perf_counter()
         key = cell.key()
         cached = cache.get_result(key) if cache is not None else None
+        if cached is not None and not payload_fits(cell, cached):
+            # A JSON object of another shape (another family's payload,
+            # a stale schema): drop it and recompute, as for a torn entry.
+            cache.drop_result(key)
+            cached = None
         seconds = time.perf_counter() - started
         if cached is None:
             misses.append(_Miss(i, cell, key, seconds))

@@ -58,6 +58,13 @@ class SimConfig:
             raise SimulationError("overheads cannot be negative")
         if self.deadlock_threshold < 1:
             raise SimulationError("deadlock_threshold must be positive")
+        if self.retransmit_backoff < 0:
+            # A retransmission must not inject before the kill it repairs.
+            raise SimulationError(
+                f"retransmit_backoff cannot be negative, got {self.retransmit_backoff}"
+            )
+        if not self.clock_mhz > 0:
+            raise SimulationError(f"clock_mhz must be positive, got {self.clock_mhz}")
         if self.max_cycles < 1:
             raise SimulationError("max_cycles must be positive")
 

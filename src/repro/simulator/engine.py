@@ -8,15 +8,20 @@ and timeout-based deadlock detection with regressive recovery (killed
 packets drain and are retransmitted from the source — the paper's
 "detection and regressive recovery" discipline).
 
-All scheduling flows through one global :class:`~repro.simulator.events.EventQueue`:
-flit arrivals, credit returns, and NIC wake-ups (packet inject times,
-retransmission backoffs, injection back-pressure releases) are events
-keyed on ``(time, insertion seq)``.  Routers and NICs are stepped only
-while members of the active sets, and every way a sleeping component
-can become relevant again — an arriving flit, a returning credit, a
-queued inject time, a fault transition — schedules or performs its
-activation, so drivers can jump straight to
-:meth:`Engine.next_cycle` across idle gaps.  The cycle-driven
+All scheduling flows through one global
+:class:`~repro.simulator.events.EventQueue`, a calendar queue: flit
+arrivals, credit returns, and NIC wake-ups (packet inject times,
+retransmission backoffs, injection back-pressure releases) are appended
+to the list of their time, and dispatch runs each due time's list in
+push order.  The hot loops push with one line,
+``calendar[t + delay].append((kind, payload))``.  A visited router
+makes one pass over its non-empty input VCs (drop killed flits, allocate
+a VC to a new head, file the switch request), then allocates the
+switch.  Routers and NICs are stepped only while members of the active
+sets, and every way a sleeping component can become relevant again —
+an arriving flit, a returning credit, a queued inject time, a fault
+transition — schedules or performs its activation, so drivers can jump
+straight to :meth:`Engine.next_cycle` across idle gaps.  The cycle-driven
 semantics are unchanged (see ``docs/SIMULATOR.md`` for the event model
 and its determinism rules); the byte-identity differential harness in
 ``tests/simulator/test_event_queue_diff.py`` holds this engine to the
@@ -128,8 +133,8 @@ class Engine:
 
         # The single event queue.  It has no cancellation — killed
         # packets' flits must still arrive so their buffer credits
-        # return through the normal path — so the dispatch loop pops
-        # the raw heap directly.
+        # return through the normal path — so the hot loops push onto
+        # its calendar and dispatch whole time lists directly.
         self._events = EventQueue()
         self._active_routers = _SortedIdSet()
         # Event-driven NIC stepping: a NIC is stepped only while in the
@@ -143,6 +148,10 @@ class Engine:
         # current assignment belongs to that packet; lets _kill_packet
         # release a victim's resources without scanning the fabric.
         self._vc_assignments: Dict[int, Dict[int, InputVC]] = {}
+        # Set by the two kill paths (deadlock recovery and fault kills):
+        # until a packet has been killed no buffered flit can be a
+        # killed one, so router visits skip the drop pass.
+        self._any_killed = False
         self._packets: Dict[int, Packet] = {}
         self._next_packet_id = 0
         self.flits_in_network = 0
@@ -355,72 +364,77 @@ class Engine:
                     m.series(name).append(t, occupancy)
 
     def _dispatch_events(self, t: int) -> bool:
-        """Pop and handle every event due at or before cycle ``t``.
+        """Run every event due at or before cycle ``t``, one time list
+        at a time in time order.
 
         Flit and credit deliveries must land exactly on their cycle (a
         past-due one means the driver skipped a scheduled cycle — a
         scheduling bug worth an immediate error).  NIC wake-ups are
         exempt from that skew check: a packet may legitimately be
         submitted with an inject cycle already in the past, and its
-        wake then fires on the next visited cycle.
+        wake then fires on the next visited cycle.  An event pushed
+        during dispatch for a due time opens a fresh list, so it runs
+        before this method returns.
         """
         moved = False
-        heap = self._events._heap
-        push = self._events.push
+        calendar = self._events.calendar
+        times = calendar.times
         channels = self.channels
-        while heap and heap[0][0] <= t:
-            time, _, kind, payload = heapq.heappop(heap)
-            if kind == NIC_WAKE:
-                self._activate_nic(payload)
-                continue
-            if time < t:
-                raise SimulationError(
-                    f"engine time skew: event at {time} processed at {t}"
-                )
-            if kind == CREDIT:
-                cid, vc = payload
-                channel = channels[cid]
-                channel.credits[vc] += 1
-                src_kind, src_id = channel.src
-                if src_kind == "router":
-                    self._active_routers.add(src_id)
+        while times and times[0] <= t:
+            time = heapq.heappop(times)
+            for kind, payload in calendar.pop(time):
+                if kind == NIC_WAKE:
+                    self._activate_nic(payload)
+                    continue
+                if time < t:
+                    raise SimulationError(
+                        f"engine time skew: event at {time} processed at {t}"
+                    )
+                if kind == CREDIT:
+                    cid, vc = payload
+                    channel = channels[cid]
+                    channel.credits[vc] += 1
+                    src_kind, src_id = channel.src
+                    if src_kind == "router":
+                        self._active_routers.add(src_id)
+                    else:
+                        # An inject-channel credit: the source NIC may
+                        # have been sleeping on exactly this back-pressure.
+                        self._activate_nic(src_id)
                 else:
-                    # An inject-channel credit: the source NIC may have
-                    # been sleeping on exactly this back-pressure.
-                    self._activate_nic(src_id)
-            else:
-                cid, vc, flit = payload
-                channel = channels[cid]
-                dst_kind, dst_id = channel.dst
-                if (
-                    self.faults is not None
-                    and not flit.packet.killed
-                    and self._dead(cid, t)
-                ):
-                    # The flit was in flight when the channel failed: it
-                    # is lost.  Kill the packet so its remaining flits
-                    # drain and the source retransmits — the same
-                    # regressive-recovery path the deadlock detector
-                    # uses.  (Credit signaling is assumed reliable.)
-                    push(t + channel.delay, CREDIT, (cid, vc))
-                    self.flits_in_network -= 1
-                    moved = True
-                    self._fault_kill(flit.packet, t)
-                elif dst_kind == "nic":
-                    # NICs are infinite sinks: consume immediately.
-                    push(t + channel.delay, CREDIT, (cid, vc))
-                    self.flits_in_network -= 1
-                    moved = True
-                    if flit.is_tail and not flit.packet.killed:
-                        self._complete_delivery(flit.packet, t)
-                elif flit.packet.killed:
-                    # Drop killed flits on arrival, returning the credit.
-                    push(t + channel.delay, CREDIT, (cid, vc))
-                    self.flits_in_network -= 1
-                    moved = True
-                else:
-                    self.routers[dst_id].accept(cid, vc, flit, channel.buffer_depth)
-                    self._active_routers.add(dst_id)
+                    cid, vc, flit = payload
+                    channel = channels[cid]
+                    dst_kind, dst_id = channel.dst
+                    if (
+                        self.faults is not None
+                        and not flit.packet.killed
+                        and self._dead(cid, t)
+                    ):
+                        # The flit was in flight when the channel failed:
+                        # it is lost.  Kill the packet so its remaining
+                        # flits drain and the source retransmits — the
+                        # same regressive-recovery path the deadlock
+                        # detector uses.  (Credit signaling is assumed
+                        # reliable.)
+                        calendar[t + channel.delay].append((CREDIT, (cid, vc)))
+                        self.flits_in_network -= 1
+                        moved = True
+                        self._fault_kill(flit.packet, t)
+                    elif dst_kind == "nic":
+                        # NICs are infinite sinks: consume immediately.
+                        calendar[t + channel.delay].append((CREDIT, (cid, vc)))
+                        self.flits_in_network -= 1
+                        moved = True
+                        if flit.is_tail and not flit.packet.killed:
+                            self._complete_delivery(flit.packet, t)
+                    elif flit.packet.killed:
+                        # Drop killed flits on arrival, returning the credit.
+                        calendar[t + channel.delay].append((CREDIT, (cid, vc)))
+                        self.flits_in_network -= 1
+                        moved = True
+                    else:
+                        self.routers[dst_id].accept(cid, vc, flit, channel.buffer_depth)
+                        self._active_routers.add(dst_id)
         return moved
 
     def _complete_delivery(self, packet: Packet, t: int) -> None:
@@ -456,82 +470,97 @@ class Engine:
         ivc.assignment = None
 
     def _step_routers(self, t: int) -> bool:
+        """Step every active router: one pass over its non-empty input
+        VCs, then switch allocation and transmission.
+
+        Per non-empty slot, in scan order, the pass drops killed flits
+        at the front (once any packet has been killed), allocates an
+        output VC to a new head flit, and files the slot's switch
+        request.  Doing the three steps per slot makes the same
+        decisions as doing each step for every slot before the next: an
+        allocation writes only output-VC owners and its own slot's
+        assignment, and a request reads neither.
+        """
         moved = False
-        push = self._events.push
+        hops = 0
+        calendar = self._events.calendar
         channels = self.channels
+        faults = self.faults
+        any_killed = self._any_killed
         for sid in self._active_routers.ordered():
             router = self.routers[sid]
-            active = router.active_vcs()
-            if not active:
-                # Nothing buffered: a no-op membership (typically a
-                # credit returning to an already-drained router); drop
-                # it instead of re-scanning an empty router every
-                # visited cycle.
-                self._active_routers.discard(sid)
-                continue
-            # Phase 0: drop killed flits sitting at buffer fronts.
-            dropped = False
-            for cid, vc, ivc in active:
-                while ivc.buffer and ivc.buffer[0].packet.killed:
-                    ivc.buffer.popleft()
-                    push(t + channels[cid].delay, CREDIT, (cid, vc))
-                    self.flits_in_network -= 1
-                    moved = True
-                    dropped = True
-            if dropped:
-                active = [(cid, vc, ivc) for cid, vc, ivc in active if ivc.buffer]
-            # Phase 1: route + VC allocation for new head flits.  Every
-            # slot in ``active`` has a non-empty buffer here (phase 0
-            # filtered the drained ones), so the front flit is read
-            # directly.
-            for cid, vc, ivc in active:
-                front = ivc.buffer[0]
-                if not front.is_head:
-                    continue
-                assignment = ivc.assignment
-                if assignment is not None and assignment[0] == front.packet.packet_id:
-                    continue
-                candidates = self.routing.candidates(front.packet, sid)
-                if self.faults is not None:
-                    # Dead outputs are not allocatable; with no live
-                    # candidate the head waits (recovery or timeout).
-                    candidates = [c for c in candidates if not self._dead(c, t)]
-                if len(candidates) > 1:
-                    # Adaptive choice: prefer the least-congested output
-                    # channel (fewest allocated VCs), ties in candidate
-                    # order — deterministic congestion-aware TFAR.
-                    candidates = sorted(
-                        candidates,
-                        key=lambda c: channels[c].busy_vcs(),
-                    )
-                for out_cid in candidates:
-                    out_channel = channels[out_cid]
-                    out_vc = out_channel.free_vc()
-                    if out_vc is not None:
-                        out_channel.owner[out_vc] = front.packet.packet_id
-                        self._assign_vc(ivc, front.packet.packet_id, out_cid, out_vc)
-                        break
-                else:
-                    if candidates:
-                        # Live candidates exist but every VC is held by
-                        # another packet: inter-packet contention.
-                        self.contention_stalls += 1
-            # Phase 2: switch allocation, one flit per output channel.
+            # Non-empty slots of this visit, in scan order; switch
+            # requests and the round-robin pointers index into it.
+            live: List[Tuple[ChannelId, int, InputVC]] = []
             flat: List[Tuple[ChannelId, int]] = []
-            for idx, (cid, vc, ivc) in enumerate(active):
+            for slot in router.slots:
+                ivc = slot[2]
+                buf = ivc.buffer
+                if not buf:
+                    continue
+                if any_killed:
+                    # Drop killed flits sitting at the buffer front.
+                    while buf and buf[0].packet.killed:
+                        buf.popleft()
+                        cid = slot[0]
+                        calendar[t + channels[cid].delay].append((CREDIT, (cid, slot[1])))
+                        self.flits_in_network -= 1
+                        moved = True
+                    if not buf:
+                        continue
+                idx = len(live)
+                live.append(slot)
+                front = buf[0]
+                pid = front.packet.packet_id
                 assignment = ivc.assignment
-                if assignment is None:
-                    continue
-                pid, out_cid, out_vc = assignment
-                if pid != ivc.buffer[0].packet.packet_id:
-                    continue
-                if self.faults is not None and self._dead(out_cid, t):
+                if assignment is None or assignment[0] != pid:
+                    if not front.is_head:
+                        continue
+                    # Route + VC allocation for a new head flit.
+                    candidates = self.routing.candidates(front.packet, sid)
+                    if faults is not None:
+                        # Dead outputs are not allocatable; with no live
+                        # candidate the head waits (recovery or timeout).
+                        candidates = [c for c in candidates if not self._dead(c, t)]
+                    if len(candidates) > 1:
+                        # Adaptive choice: prefer the least-congested
+                        # output channel (fewest allocated VCs), ties in
+                        # candidate order — deterministic
+                        # congestion-aware TFAR.
+                        candidates = sorted(
+                            candidates,
+                            key=lambda c: channels[c].busy_vcs(),
+                        )
+                    for out_cid in candidates:
+                        out_channel = channels[out_cid]
+                        out_vc = out_channel.free_vc()
+                        if out_vc is not None:
+                            out_channel.owner[out_vc] = pid
+                            self._assign_vc(ivc, pid, out_cid, out_vc)
+                            break
+                    else:
+                        if candidates:
+                            # Live candidates exist but every VC is held
+                            # by another packet: inter-packet contention.
+                            self.contention_stalls += 1
+                        continue
+                    assignment = ivc.assignment
+                # Switch request, one flit per output channel.
+                _, out_cid, out_vc = assignment
+                if faults is not None and self._dead(out_cid, t):
                     continue  # channel failed after allocation: stall
                 if channels[out_cid].credits[out_vc] > 0:
                     flat.append((out_cid, idx))
                 else:
                     # Allocated VC but no credit: back-pressure stall.
                     self.credit_stalls += 1
+            if not live:
+                # Nothing buffered: a no-op membership (typically a
+                # credit returning to an already-drained router); drop
+                # it instead of re-scanning an empty router every
+                # visited cycle.
+                self._active_routers.discard(sid)
+                continue
             # Group by output channel only when more than one VC made a
             # request — the streaming common case is a single request,
             # where the dict build and key sort are pure overhead.
@@ -557,29 +586,30 @@ class Engine:
                     # ``arbitrate`` computes for a one-element list.
                     winner_idx = reqs[0]
                     router._rr[out_cid] = winner_idx + 1
-                cid, vc, ivc = active[winner_idx]
+                cid, vc, ivc = live[winner_idx]
                 flit = ivc.buffer.popleft()
                 _, _, out_vc = ivc.assignment
                 out_channel = channels[out_cid]
                 out_channel.credits[out_vc] -= 1
-                push(t + out_channel.delay, FLIT, (out_cid, out_vc, flit))
-                push(t + channels[cid].delay, CREDIT, (cid, vc))
+                calendar[t + out_channel.delay].append((FLIT, (out_cid, out_vc, flit)))
+                calendar[t + channels[cid].delay].append((CREDIT, (cid, vc)))
                 self._channel_busy_cycles[out_cid] = (
                     self._channel_busy_cycles.get(out_cid, 0) + 1
                 )
-                self.flit_hops += 1
+                hops += 1
                 moved = True
                 if flit.is_tail:
                     self._clear_assignment(ivc)
                     out_channel.owner[out_vc] = None
             # Emptiness check over the slots seen this cycle is enough:
-            # a slot outside ``active`` was empty when the cycle's
+            # a slot outside ``live`` was empty when the cycle's
             # arrivals were already in, and nothing below refills it.
-            for slot in active:
+            for slot in live:
                 if slot[2].buffer:
                     break
             else:
                 self._active_routers.discard(sid)
+        self.flit_hops += hops
         return moved
 
     def _step_nics(self, t: int) -> bool:
@@ -596,7 +626,7 @@ class Engine:
         if not self._active_nics:
             return False
         moved = False
-        push = self._events.push
+        calendar = self._events.calendar
         for p in sorted(self._active_nics):
             nic = self.nics[p]
             channel = self.channels[nic.inject_channel]
@@ -617,7 +647,7 @@ class Engine:
                     # Every queued packet injects in the future: sleep
                     # until the earliest (the queue is non-empty and
                     # all inject times exceed t, so one exists).
-                    push(nic.next_inject_after(t), NIC_WAKE, p)
+                    calendar[nic.next_inject_after(t)].append((NIC_WAKE, p))
                     self._active_nics.discard(p)
                     continue
             if nic.streaming is not None:
@@ -626,7 +656,7 @@ class Engine:
                     flit = Flit(pkt, pkt.flits_sent)
                     channel.credits[vc] -= 1
                     pkt.flits_sent += 1
-                    push(t + channel.delay, FLIT, (nic.inject_channel, vc, flit))
+                    calendar[t + channel.delay].append((FLIT, (nic.inject_channel, vc, flit)))
                     self._channel_busy_cycles[nic.inject_channel] = (
                         self._channel_busy_cycles.get(nic.inject_channel, 0) + 1
                     )
@@ -666,6 +696,7 @@ class Engine:
             )
         victim = max(stuck, key=lambda pkt: (pkt.inject_cycle, pkt.packet_id))
         self.deadlocks_detected += 1
+        self._any_killed = True
         self.obs.tracer.event(
             "sim.deadlock",
             cycle=t,
@@ -683,6 +714,7 @@ class Engine:
         if packet.killed or packet.delivered:
             return
         self.fault_packet_kills += 1
+        self._any_killed = True
         self.obs.tracer.event(
             "sim.fault_kill",
             cycle=t,

@@ -22,7 +22,7 @@ from repro.simulator.packet import ChannelId, Flit, Packet
 Endpoint = Tuple[str, int]  # ("router", switch_id) or ("nic", processor_id)
 
 
-@dataclass
+@dataclass(slots=True)
 class Channel:
     """One directed physical channel with per-VC sender-side state.
 
@@ -69,7 +69,7 @@ class Channel:
         return sum(1 for owner in self.owner if owner is not None)
 
 
-@dataclass
+@dataclass(slots=True)
 class InputVC:
     """Receiver-side buffer of one virtual channel.
 
@@ -95,15 +95,16 @@ class Router:
         self.inputs: Dict[ChannelId, List[InputVC]] = {}
         self.output_channels: List[ChannelId] = []
         self._rr: Dict[ChannelId, int] = {}
-        # Flattened (cid, vc, ivc) slots in scan order, built lazily —
-        # the input set is fixed after fabric construction, so the
-        # per-activation ``sorted(self.inputs)`` walk collapses into a
-        # filter over one prebuilt list.
-        self._slots: Optional[List[Tuple[ChannelId, int, InputVC]]] = None
+        # Every (cid, vc, ivc) input slot in scan order (channel id, then
+        # VC), rebuilt as the fabric adds inputs and fixed afterwards,
+        # so a router visit walks one prebuilt list.
+        self.slots: List[Tuple[ChannelId, int, InputVC]] = []
 
     def add_input(self, cid: ChannelId) -> None:
         self.inputs[cid] = [InputVC() for _ in range(self._config.num_vcs)]
-        self._slots = None
+        self.slots = [
+            (c, vc, ivc) for c in sorted(self.inputs) for vc, ivc in enumerate(self.inputs[c])
+        ]
 
     def add_output(self, cid: ChannelId) -> None:
         self.output_channels.append(cid)
@@ -118,17 +119,6 @@ class Router:
                 "credit accounting is broken"
             )
         buf.buffer.append(flit)
-
-    def active_vcs(self) -> List[Tuple[ChannelId, int, InputVC]]:
-        """Non-empty input VCs in deterministic order."""
-        slots = self._slots
-        if slots is None:
-            slots = self._slots = [
-                (cid, vc, ivc)
-                for cid in sorted(self.inputs)
-                for vc, ivc in enumerate(self.inputs[cid])
-            ]
-        return [slot for slot in slots if slot[2].buffer]
 
     def arbitrate(self, cid: ChannelId, requesters: List[int]) -> int:
         """Round-robin winner among requester indices for an output."""

@@ -13,7 +13,7 @@ from typing import List, Optional, Tuple
 ChannelId = Tuple  # ("inj", p) | ("ej", p) | ("link", link_id, direction)
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     """One in-flight message instance.
 

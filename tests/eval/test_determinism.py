@@ -27,7 +27,7 @@ from repro.eval.parallel import (
     run_cells,
 )
 from repro.eval.resilience import run_resilience
-from repro.eval.serialize import canonical_json
+from repro.eval.serialize import canonical_json, result_from_dict
 from repro.faults import CampaignSpec, build_campaign
 from repro.simulator import SimConfig
 
@@ -150,6 +150,25 @@ class TestCacheKeys:
         redone = run_cells([cell], cache=cache)
         assert not redone[0].cache_hit
         assert _payload_bytes(redone) == _payload_bytes(cold)
+
+    def test_wrong_shape_cache_entry_is_a_dropped_miss(self, setup, tmp_path):
+        """A JSON object another family (or an older schema) wrote under
+        a performance cell's key is recomputed, not served as a hit."""
+        cache = ResultCache(tmp_path / "cache")
+        cell = PerformanceCell(
+            label="cg-8/mesh",
+            program=setup.benchmark.program,
+            topology=setup.topology("mesh"),
+            config=SimConfig(),
+            link_delays=setup.link_delays("mesh"),
+        )
+        cache.put_result(cell.key(), {"status": "ok"})
+        redone = run_cells([cell], cache=cache)
+        assert not redone[0].cache_hit
+        assert result_from_dict(redone[0].payload).topology_name == cell.topology.name
+        warm = run_cells([cell], cache=cache)
+        assert warm[0].cache_hit
+        assert _payload_bytes(warm) == _payload_bytes(redone)
 
     @pytest.mark.parametrize(
         "data",

@@ -173,6 +173,17 @@ def test_fanned_obs_matches_serial(tmp_path, pools):
     }
 
 
+def test_uncached_run_counts_no_cache_traffic():
+    """With no cache there are no lookups, hits or misses to count; the
+    lookup counter still exists, at 0, for the profile report."""
+    obs = enabled_observability()
+    run_cells(_cells()[:1], obs=obs)
+    counters = obs.metrics.snapshot()["counters"]
+    assert {k: v for k, v in counters.items() if k.startswith("eval.cache.")} == {
+        "eval.cache.lookups": 0
+    }
+
+
 def test_real_pool_computes_misses_and_writes_them_through(cache, cold):
     cells = _cells()
     run_cells(cells[:1], cache=cache)

@@ -40,6 +40,9 @@ class TestSimConfig:
             {"send_overhead": -1},
             {"deadlock_threshold": 0},
             {"max_cycles": 0},
+            {"retransmit_backoff": -1},
+            {"clock_mhz": 0},
+            {"clock_mhz": -800.0},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):

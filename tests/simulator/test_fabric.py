@@ -81,14 +81,20 @@ class TestRouter:
         with pytest.raises(SimulationError):
             r.accept(("link", 0, 0), 0, Flit(pkt, 1), depth=1)
 
-    def test_active_vcs_lists_nonempty_only(self):
+    def test_slot_table_is_built_with_the_inputs(self):
+        """Every input VC is a slot, in (channel id, VC) scan order, as
+        soon as its input is added — no lazy build on the first visit."""
         r = self._router()
-        assert r.active_vcs() == []
-        pkt = _packet()
-        r.accept(("link", 0, 0), 1, Flit(pkt, 0), depth=2)
-        active = r.active_vcs()
-        assert len(active) == 1
-        assert active[0][1] == 1  # vc index
+        r.add_input(("inj", 0))
+        assert [(cid, vc) for cid, vc, _ in r.slots] == [
+            (("inj", 0), 0),
+            (("inj", 0), 1),
+            (("link", 0, 0), 0),
+            (("link", 0, 0), 1),
+        ]
+        assert all(
+            slot[2] is ivc for slot, ivc in zip(r.slots[2:], r.inputs[("link", 0, 0)])
+        )
 
     def test_round_robin_arbitration(self):
         r = self._router()
