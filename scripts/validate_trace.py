@@ -7,7 +7,7 @@ Usage:
 Checks the Chrome-trace export against the schema expected by
 ``chrome://tracing``/Perfetto (via ``repro.obs.validate_chrome_trace``)
 and, when a metrics snapshot is given, that every mandatory counter is
-present and positive.  Exits non-zero on any problem; CI runs this on a
+present and non-negative.  Exits non-zero on any problem; CI runs this on a
 tiny cg-8 profile for every push (see ``.github/workflows/ci.yml``).
 """
 

@@ -29,8 +29,10 @@ from repro.obs.metrics import (
 )
 from repro.obs.tracing import NULL_TRACER, Tracer, validate_chrome_trace
 
-# Counters every `repro profile` run must emit; the CI smoke step greps
-# the metrics output for each of these names.
+# Counters every `repro profile` run must emit.  The profile table lists
+# each one (zero when it did not fire), `scripts/validate_trace.py`
+# checks them in the metrics JSON, and `sim.contention_stalls` is the
+# tally certificate cross-validation holds at zero.
 MANDATORY_COUNTERS = (
     "synthesis.bisections",
     "synthesis.route_moves",
@@ -39,6 +41,7 @@ MANDATORY_COUNTERS = (
     "sim.flit_hops",
     "sim.packets_delivered",
     "sim.credit_stalls",
+    "sim.contention_stalls",
     "eval.cache.lookups",
 )
 

@@ -104,8 +104,8 @@ def render_report(report: ProfileReport) -> str:
     lines += ["", f"{'counter':<40} {'value':>10}"]
     for name, value in snapshot["counters"].items():
         lines.append(f"{name:<40} {value:>10}")
-    # Mandatory counters must appear even when zero this run, so the CI
-    # smoke grep (and a human scanning the table) sees the full set.
+    # Mandatory counters appear even when zero this run, so a reader
+    # scanning the table sees the full set.
     for name in MANDATORY_COUNTERS:
         if name not in snapshot["counters"]:
             lines.append(f"{name:<40} {0:>10}")

@@ -14,14 +14,19 @@ arrivals, credit returns, and NIC wake-ups (packet inject times,
 retransmission backoffs, injection back-pressure releases) are appended
 to the list of their time, and dispatch runs each due time's list in
 push order.  The hot loops push with one line,
-``calendar[t + delay].append((kind, payload))``.  A visited router
-makes one pass over its non-empty input VCs (drop killed flits, allocate
-a VC to a new head, file the switch request), then allocates the
-switch.  Routers and NICs are stepped only while members of the active
-sets, and every way a sleeping component can become relevant again —
-an arriving flit, a returning credit, a queued inject time, a fault
-transition — schedules or performs its activation, so drivers can jump
-straight to :meth:`Engine.next_cycle` across idle gaps.  The cycle-driven
+``calendar[t + delay].append((kind, payload))``, and payloads hold the
+:class:`~repro.simulator.fabric.Channel` itself, so a flit hop touches
+its channels' state without a lookup; channel-id tuples name channels
+only at the boundaries (routing candidates, fault checks, utilization
+keys, metric names).  A visited router makes one pass over its
+non-empty input VCs (drop killed flits, allocate a VC to a new head,
+file the switch request), then allocates the switch.  Routers and NICs
+are stepped only while members of the active sets (plain sets, visited
+in ascending id), and every way a sleeping component can become
+relevant again — an arriving flit, a returning credit, a queued inject
+time, a fault transition — schedules or performs its activation, so
+drivers can jump straight to :meth:`Engine.next_cycle` across idle
+gaps, or let :meth:`Engine.drain` do it.  The cycle-driven
 semantics are unchanged (see ``docs/SIMULATOR.md`` for the event model
 and its determinism rules); the byte-identity differential harness in
 ``tests/simulator/test_event_queue_diff.py`` holds this engine to the
@@ -58,56 +63,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 DeliveryHandler = Callable[[int, int, int, int], None]  # (src, dst, seq, cycle)
 
 
-class _SortedIdSet:
-    """A set of ids handing out a lazily cached sorted view.
-
-    The engine walks the active-router set in sorted order every cycle,
-    while membership changes far less often than cycles pass; caching
-    the sorted list and re-sorting only after a mutation replaces the
-    per-cycle ``sorted(set)`` with a list reuse."""
-
-    __slots__ = ("_members", "_ordered", "_dirty")
-
-    def __init__(self) -> None:
-        self._members: set = set()
-        self._ordered: List[int] = []
-        self._dirty = False
-
-    def add(self, member: int) -> None:
-        if member not in self._members:
-            self._members.add(member)
-            self._dirty = True
-
-    def update(self, members) -> None:
-        before = len(self._members)
-        self._members.update(members)
-        if len(self._members) != before:
-            self._dirty = True
-
-    def discard(self, member: int) -> None:
-        if member in self._members:
-            self._members.discard(member)
-            self._dirty = True
-
-    def ordered(self) -> List[int]:
-        """Members in sorted order.
-
-        The returned list is a snapshot: mutating the set marks the
-        cache dirty for the *next* call but never touches a list
-        already handed out, so callers may discard members while
-        iterating it."""
-        if self._dirty:
-            self._ordered = sorted(self._members)
-            self._dirty = False
-        return self._ordered
-
-    def __len__(self) -> int:
-        return len(self._members)
-
-    def __contains__(self, member: int) -> bool:
-        return member in self._members
-
-
 class Engine:
     """The network fabric plus its event queue and progress tracking."""
 
@@ -136,13 +91,15 @@ class Engine:
         # return through the normal path — so the hot loops push onto
         # its calendar and dispatch whole time lists directly.
         self._events = EventQueue()
-        self._active_routers = _SortedIdSet()
-        # Event-driven NIC stepping: a NIC is stepped only while in the
-        # active set.  It sleeps when idle, when every queued packet
-        # injects in the future (a NIC_WAKE event covers the earliest),
-        # when blocked on an inject-channel credit (the credit's return
-        # reactivates it), or when its inject channel is dead (a fault
-        # transition reactivates it).
+        # Event-driven stepping: routers and NICs are stepped only while
+        # in these sets, visited in ascending id.  A router joins on an
+        # arriving flit or a returning credit and leaves once its input
+        # buffers are empty.  A NIC sleeps when idle, when every queued
+        # packet injects in the future (a NIC_WAKE event covers the
+        # earliest), when blocked on an inject-channel credit (the
+        # credit's return reactivates it), or when its inject channel is
+        # dead (a fault transition reactivates it).
+        self._active_routers: set = set()
         self._active_nics: set = set()
         # packet_id -> {id(InputVC): InputVC} for every input VC whose
         # current assignment belongs to that packet; lets _kill_packet
@@ -177,7 +134,6 @@ class Engine:
         self.packet_latencies: List[int] = []
         self._delivery_handler: Optional[DeliveryHandler] = None
         self._delivery_observers: List[DeliveryHandler] = []
-        self._channel_busy_cycles: Dict[ChannelId, int] = {}
         # Index of the earliest fault transition not yet crossed;
         # FaultState.transitions is sorted, so crossing is an O(1)
         # pointer bump instead of a scan of every window boundary.
@@ -198,9 +154,9 @@ class Engine:
             self._s_active_routers = m.series("sim.active_routers")
             # Channel sampling order and metric names are fixed at
             # construction; the per-window loop only reads them.
-            self._occ_channels: List[Tuple[ChannelId, str]] = [
-                (cid, "sim.channel_occupancy." + ":".join(str(part) for part in cid))
-                for cid in sorted(self.channels)
+            self._occ_channels: List[Tuple[Channel, str]] = [
+                (channel, "sim.channel_occupancy." + ":".join(str(part) for part in cid))
+                for cid, channel in sorted(self.channels.items())
             ]
 
     # -- construction ---------------------------------------------------
@@ -218,19 +174,16 @@ class Engine:
             )
             self.channels[fwd.cid] = fwd
             self.channels[bwd.cid] = bwd
-            self.routers[link.u].add_output(fwd.cid)
-            self.routers[link.v].add_input(fwd.cid)
-            self.routers[link.v].add_output(bwd.cid)
-            self.routers[link.u].add_input(bwd.cid)
+            self.routers[link.v].add_input(fwd)
+            self.routers[link.u].add_input(bwd)
         for p in range(self.network.num_processors):
             s = self.network.switch_of(p)
             inj = Channel.build(("inj", p), ("nic", p), ("router", s), 1, self.config)
             ej = Channel.build(("ej", p), ("router", s), ("nic", p), 1, self.config)
             self.channels[inj.cid] = inj
             self.channels[ej.cid] = ej
-            self.routers[s].add_input(inj.cid)
-            self.routers[s].add_output(ej.cid)
-            self.nics[p] = Nic(p, inj.cid)
+            self.routers[s].add_input(inj)
+            self.nics[p] = Nic(p, inj)
 
     def set_delivery_handler(self, handler: DeliveryHandler) -> None:
         self._delivery_handler = handler
@@ -297,7 +250,7 @@ class Engine:
         return max(t + 1, min(candidates))
 
     def has_queued_packets(self) -> bool:
-        return any(nic.queue or nic.streaming for nic in self.nics.values())
+        return any(nic.pending or nic.streaming for nic in self.nics.values())
 
     def busy(self) -> bool:
         """Whether any traffic exists anywhere in the engine.
@@ -307,11 +260,20 @@ class Engine:
         """
         return bool(self._events) or self.flits_in_network > 0 or self.has_queued_packets()
 
-    # -- faults -----------------------------------------------------------
+    def drain(self, t: int, stop: int) -> int:
+        """Step from cycle ``t`` until the engine is idle or cycle
+        ``stop`` is reached, jumping idle gaps with :meth:`next_cycle`;
+        returns the cycle it stopped at.  Drivers that inject nothing
+        more (the open-loop drain, certificate replay) end with it."""
+        while self.busy() and t < stop:
+            if self.step(t):
+                t += 1
+                continue
+            next_t = self.next_cycle(t)
+            t = next_t if next_t is not None else t + 1
+        return t
 
-    def _dead(self, cid: ChannelId, t: int) -> bool:
-        """Whether channel ``cid`` is failed at cycle ``t``."""
-        return self.faults is not None and self.faults.channel_dead(cid, t)
+    # -- faults -----------------------------------------------------------
 
     def _cross_fault_transitions(self, t: int) -> None:
         """Wake the whole fabric when a fault activates or recovers, so
@@ -356,11 +318,9 @@ class Engine:
         self._s_active_routers.append(t, len(self._active_routers))
         m = self.obs.metrics
         if m.enabled:
-            channels = self.channels
-            busy = self._channel_busy_cycles
-            for cid, name in self._occ_channels:
-                occupancy = channels[cid].busy_vcs()
-                if occupancy or cid in busy:
+            for channel, name in self._occ_channels:
+                occupancy = channel.busy_vcs()
+                if occupancy or channel.busy_cycles:
                     m.series(name).append(t, occupancy)
 
     def _dispatch_events(self, t: int) -> bool:
@@ -374,12 +334,14 @@ class Engine:
         submitted with an inject cycle already in the past, and its
         wake then fires on the next visited cycle.  An event pushed
         during dispatch for a due time opens a fresh list, so it runs
-        before this method returns.
+        before this method returns.  A flit arriving at a router lands
+        in its channel's input VC, which must have room: a full buffer
+        means credit accounting is broken.
         """
         moved = False
         calendar = self._events.calendar
         times = calendar.times
-        channels = self.channels
+        faults = self.faults
         while times and times[0] <= t:
             time = heapq.heappop(times)
             for kind, payload in calendar.pop(time):
@@ -391,8 +353,7 @@ class Engine:
                         f"engine time skew: event at {time} processed at {t}"
                     )
                 if kind == CREDIT:
-                    cid, vc = payload
-                    channel = channels[cid]
+                    channel, vc = payload
                     channel.credits[vc] += 1
                     src_kind, src_id = channel.src
                     if src_kind == "router":
@@ -402,13 +363,12 @@ class Engine:
                         # have been sleeping on exactly this back-pressure.
                         self._activate_nic(src_id)
                 else:
-                    cid, vc, flit = payload
-                    channel = channels[cid]
+                    channel, vc, flit = payload
                     dst_kind, dst_id = channel.dst
                     if (
-                        self.faults is not None
+                        faults is not None
                         and not flit.packet.killed
-                        and self._dead(cid, t)
+                        and faults.channel_dead(channel.cid, t)
                     ):
                         # The flit was in flight when the channel failed:
                         # it is lost.  Kill the packet so its remaining
@@ -416,24 +376,30 @@ class Engine:
                         # same regressive-recovery path the deadlock
                         # detector uses.  (Credit signaling is assumed
                         # reliable.)
-                        calendar[t + channel.delay].append((CREDIT, (cid, vc)))
+                        calendar[t + channel.delay].append((CREDIT, (channel, vc)))
                         self.flits_in_network -= 1
                         moved = True
                         self._fault_kill(flit.packet, t)
                     elif dst_kind == "nic":
                         # NICs are infinite sinks: consume immediately.
-                        calendar[t + channel.delay].append((CREDIT, (cid, vc)))
+                        calendar[t + channel.delay].append((CREDIT, (channel, vc)))
                         self.flits_in_network -= 1
                         moved = True
                         if flit.is_tail and not flit.packet.killed:
                             self._complete_delivery(flit.packet, t)
                     elif flit.packet.killed:
                         # Drop killed flits on arrival, returning the credit.
-                        calendar[t + channel.delay].append((CREDIT, (cid, vc)))
+                        calendar[t + channel.delay].append((CREDIT, (channel, vc)))
                         self.flits_in_network -= 1
                         moved = True
                     else:
-                        self.routers[dst_id].accept(cid, vc, flit, channel.buffer_depth)
+                        buffer = channel.rx[vc].buffer
+                        if len(buffer) >= channel.buffer_depth:
+                            raise SimulationError(
+                                f"buffer overflow at S{dst_id} {channel.cid} vc{vc}: "
+                                "credit accounting is broken"
+                            )
+                        buffer.append(flit)
                         self._active_routers.add(dst_id)
         return moved
 
@@ -446,7 +412,7 @@ class Engine:
         for observer in self._delivery_observers:
             observer(packet.source, packet.dest, packet.seq, t)
 
-    def _assign_vc(self, ivc: InputVC, pid: int, out_cid: ChannelId, out_vc: int) -> None:
+    def _assign_vc(self, ivc: InputVC, pid: int, out_channel: Channel, out_vc: int) -> None:
         """Record an input VC's output assignment, keeping the
         packet-indexed registry in step."""
         old = ivc.assignment
@@ -456,7 +422,7 @@ class Engine:
                 entries.pop(id(ivc), None)
                 if not entries:
                     del self._vc_assignments[old[0]]
-        ivc.assignment = (pid, out_cid, out_vc)
+        ivc.assignment = (pid, out_channel, out_vc)
         self._vc_assignments.setdefault(pid, {})[id(ivc)] = ivc
 
     def _clear_assignment(self, ivc: InputVC) -> None:
@@ -487,12 +453,12 @@ class Engine:
         channels = self.channels
         faults = self.faults
         any_killed = self._any_killed
-        for sid in self._active_routers.ordered():
+        for sid in sorted(self._active_routers):
             router = self.routers[sid]
             # Non-empty slots of this visit, in scan order; switch
             # requests and the round-robin pointers index into it.
-            live: List[Tuple[ChannelId, int, InputVC]] = []
-            flat: List[Tuple[ChannelId, int]] = []
+            live: List[Tuple[Channel, int, InputVC]] = []
+            flat: List[Tuple[Channel, int]] = []
             for slot in router.slots:
                 ivc = slot[2]
                 buf = ivc.buffer
@@ -502,8 +468,7 @@ class Engine:
                     # Drop killed flits sitting at the buffer front.
                     while buf and buf[0].packet.killed:
                         buf.popleft()
-                        cid = slot[0]
-                        calendar[t + channels[cid].delay].append((CREDIT, (cid, slot[1])))
+                        calendar[t + slot[0].delay].append((CREDIT, (slot[0], slot[1])))
                         self.flits_in_network -= 1
                         moved = True
                     if not buf:
@@ -517,26 +482,26 @@ class Engine:
                     if not front.is_head:
                         continue
                     # Route + VC allocation for a new head flit.
-                    candidates = self.routing.candidates(front.packet, sid)
+                    candidates = [
+                        channels[cid] for cid in self.routing.candidates(front.packet, sid)
+                    ]
                     if faults is not None:
                         # Dead outputs are not allocatable; with no live
                         # candidate the head waits (recovery or timeout).
-                        candidates = [c for c in candidates if not self._dead(c, t)]
+                        candidates = [
+                            c for c in candidates if not faults.channel_dead(c.cid, t)
+                        ]
                     if len(candidates) > 1:
                         # Adaptive choice: prefer the least-congested
                         # output channel (fewest allocated VCs), ties in
                         # candidate order — deterministic
                         # congestion-aware TFAR.
-                        candidates = sorted(
-                            candidates,
-                            key=lambda c: channels[c].busy_vcs(),
-                        )
-                    for out_cid in candidates:
-                        out_channel = channels[out_cid]
+                        candidates.sort(key=Channel.busy_vcs)
+                    for out_channel in candidates:
                         out_vc = out_channel.free_vc()
                         if out_vc is not None:
                             out_channel.owner[out_vc] = pid
-                            self._assign_vc(ivc, pid, out_cid, out_vc)
+                            self._assign_vc(ivc, pid, out_channel, out_vc)
                             break
                     else:
                         if candidates:
@@ -546,11 +511,11 @@ class Engine:
                         continue
                     assignment = ivc.assignment
                 # Switch request, one flit per output channel.
-                _, out_cid, out_vc = assignment
-                if faults is not None and self._dead(out_cid, t):
+                _, out_channel, out_vc = assignment
+                if faults is not None and faults.channel_dead(out_channel.cid, t):
                     continue  # channel failed after allocation: stall
-                if channels[out_cid].credits[out_vc] > 0:
-                    flat.append((out_cid, idx))
+                if out_channel.credits[out_vc] > 0:
+                    flat.append((out_channel, idx))
                 else:
                     # Allocated VC but no credit: back-pressure stall.
                     self.credit_stalls += 1
@@ -567,35 +532,32 @@ class Engine:
             if len(flat) == 1:
                 groups = [(flat[0][0], [flat[0][1]])]
             elif flat:
-                requests: Dict[ChannelId, List[int]] = {}
-                for out_cid, idx in flat:
-                    requests.setdefault(out_cid, []).append(idx)
-                groups = [(out_cid, requests[out_cid]) for out_cid in sorted(requests)]
+                requests: Dict[ChannelId, Tuple[Channel, List[int]]] = {}
+                for out_channel, idx in flat:
+                    requests.setdefault(out_channel.cid, (out_channel, []))[1].append(idx)
+                groups = [requests[cid] for cid in sorted(requests)]
             else:
                 groups = []
-            for out_cid, reqs in groups:
+            for out_channel, reqs in groups:
                 losers = len(reqs) - 1
                 if losers:
                     # Distinct packets competing for one physical
                     # channel this cycle; all but the winner stall.
                     self.contention_stalls += losers
-                    winner_idx = router.arbitrate(out_cid, reqs)
+                    winner_idx = router.arbitrate(out_channel, reqs)
                 else:
                     # Sole requester: round-robin always grants it and
                     # parks the pointer just past it, exactly what
                     # ``arbitrate`` computes for a one-element list.
                     winner_idx = reqs[0]
-                    router._rr[out_cid] = winner_idx + 1
-                cid, vc, ivc = live[winner_idx]
+                    out_channel.rr = winner_idx + 1
+                in_channel, vc, ivc = live[winner_idx]
                 flit = ivc.buffer.popleft()
                 _, _, out_vc = ivc.assignment
-                out_channel = channels[out_cid]
                 out_channel.credits[out_vc] -= 1
-                calendar[t + out_channel.delay].append((FLIT, (out_cid, out_vc, flit)))
-                calendar[t + channels[cid].delay].append((CREDIT, (cid, vc)))
-                self._channel_busy_cycles[out_cid] = (
-                    self._channel_busy_cycles.get(out_cid, 0) + 1
-                )
+                out_channel.busy_cycles += 1
+                calendar[t + out_channel.delay].append((FLIT, (out_channel, out_vc, flit)))
+                calendar[t + in_channel.delay].append((CREDIT, (in_channel, vc)))
                 hops += 1
                 moved = True
                 if flit.is_tail:
@@ -627,27 +589,30 @@ class Engine:
             return False
         moved = False
         calendar = self._events.calendar
+        faults = self.faults
         for p in sorted(self._active_nics):
             nic = self.nics[p]
-            channel = self.channels[nic.inject_channel]
-            if self.faults is not None and self._dead(nic.inject_channel, t):
+            channel = nic.inject_channel
+            if faults is not None and faults.channel_dead(channel.cid, t):
                 # Injection blocked while the channel is down; every
                 # fault transition reactivates all NICs.
                 self._active_nics.discard(p)
                 continue
-            if nic.streaming is None and nic.queue:
-                pkt = nic.peek_eligible(t)
-                if pkt is not None:
+            pending = nic.pending
+            if nic.streaming is None and pending:
+                inject_cycle, _, pkt = pending[0]
+                if inject_cycle <= t:
+                    # The heap head is the earliest (inject_cycle,
+                    # packet_id) among queued packets: stream it.
                     vc = channel.free_vc()
                     if vc is not None:
                         channel.owner[vc] = pkt.packet_id
                         nic.streaming = (pkt, vc)
-                        nic.dequeue(pkt)
+                        heapq.heappop(pending)
                 else:
                     # Every queued packet injects in the future: sleep
-                    # until the earliest (the queue is non-empty and
-                    # all inject times exceed t, so one exists).
-                    calendar[nic.next_inject_after(t)].append((NIC_WAKE, p))
+                    # until the earliest, the head's.
+                    calendar[inject_cycle].append((NIC_WAKE, p))
                     self._active_nics.discard(p)
                     continue
             if nic.streaming is not None:
@@ -655,11 +620,9 @@ class Engine:
                 if channel.credits[vc] > 0:
                     flit = Flit(pkt, pkt.flits_sent)
                     channel.credits[vc] -= 1
+                    channel.busy_cycles += 1
                     pkt.flits_sent += 1
-                    calendar[t + channel.delay].append((FLIT, (nic.inject_channel, vc, flit)))
-                    self._channel_busy_cycles[nic.inject_channel] = (
-                        self._channel_busy_cycles.get(nic.inject_channel, 0) + 1
-                    )
+                    calendar[t + channel.delay].append((FLIT, (channel, vc, flit)))
                     self.flits_in_network += 1
                     self.flits_injected += 1
                     moved = True
@@ -672,7 +635,7 @@ class Engine:
                     # this NIC).
                     self.credit_stalls += 1
                     self._active_nics.discard(p)
-            elif not nic.queue:
+            elif not pending:
                 # Fully idle; submit()/retransmit enqueues reactivate.
                 self._active_nics.discard(p)
             # else: an eligible packet exists but no inject VC is free
@@ -684,10 +647,12 @@ class Engine:
     def _recover_deadlock(self, t: int) -> None:
         """Kill the youngest stuck packet and retransmit it (regressive
         recovery)."""
+        # Only a live packet that has sent a flit holds network
+        # resources that killing it would free.
         stuck = [
             pkt
             for pkt in self._packets.values()
-            if not pkt.killed and not pkt.delivered and self._has_presence(pkt)
+            if not pkt.killed and not pkt.delivered and pkt.flits_sent > 0
         ]
         if not stuck:
             # Progress stalled with no killable packet: accounting bug.
@@ -735,13 +700,13 @@ class Engine:
             assignment = ivc.assignment
             if assignment is None or assignment[0] != victim.packet_id:
                 continue  # defensive; the registry is kept exact
-            _, out_cid, out_vc = assignment
-            self.channels[out_cid].owner[out_vc] = None
+            _, out_channel, out_vc = assignment
+            out_channel.owner[out_vc] = None
             ivc.assignment = None
         nic = self.nics[victim.source]
         held_vc = nic.abort_stream(victim.packet_id)
         if held_vc is not None:
-            self.channels[nic.inject_channel].owner[held_vc] = None
+            nic.inject_channel.owner[held_vc] = None
         # Wake every router so killed flits drain promptly, and the
         # source NIC: aborting the stream may unblock a queued packet
         # before the retransmission's backoff expires.
@@ -778,11 +743,6 @@ class Engine:
             replacement=replacement.packet_id,
             inject_cycle=replacement.inject_cycle,
         )
-
-    def _has_presence(self, pkt: Packet) -> bool:
-        """Whether killing the packet could free network resources: it
-        has sent at least one flit and its tail has not yet delivered."""
-        return pkt.flits_sent > 0
 
     # -- stats ---------------------------------------------------------------
 
@@ -827,6 +787,7 @@ class Engine:
         if total_cycles <= 0:
             return {}
         return {
-            cid: busy / total_cycles
-            for cid, busy in sorted(self._channel_busy_cycles.items())
+            cid: channel.busy_cycles / total_cycles
+            for cid, channel in sorted(self.channels.items())
+            if channel.busy_cycles
         }

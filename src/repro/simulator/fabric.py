@@ -5,15 +5,21 @@ configurable number of virtual channels per physical channel with
 credit-based flow control, full internal crossbars (so contention is
 modeled on the links, not inside switches — Definition 6's premise),
 and one flit per physical channel per cycle.
+
+Each piece of state has one home.  A :class:`Channel` holds everything
+about one directed channel: sender-side credits and VC owners, the
+receiver-side input VC buffers, the switch allocator's round-robin
+pointer for it, and its busy-cycle count.  A :class:`Router` holds only
+its slot table over the input VCs of its incoming channels, and a
+:class:`Nic` keeps its queue as one heap.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
 from collections import deque
-from heapq import heappop, heappush
+from heapq import heappush
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.simulator.config import SimConfig
@@ -24,11 +30,15 @@ Endpoint = Tuple[str, int]  # ("router", switch_id) or ("nic", processor_id)
 
 @dataclass(slots=True)
 class Channel:
-    """One directed physical channel with per-VC sender-side state.
+    """One directed physical channel and all of its state.
 
     ``credits[vc]`` counts free buffer slots at the receiver;
     ``owner[vc]`` is the packet currently allocated the virtual channel
-    (wormhole: held from head until tail departs the sender).
+    (wormhole: held from head until tail departs the sender).  ``rx[vc]``
+    is the receiver's input VC buffer (empty for ejection channels: the
+    NIC consumes flits on arrival).  ``rr`` is the round-robin pointer
+    of the switch allocator for this output, and ``busy_cycles`` counts
+    the cycles a flit entered the channel.
     """
 
     cid: ChannelId
@@ -38,6 +48,9 @@ class Channel:
     buffer_depth: int
     credits: List[int]
     owner: List[Optional[int]]
+    rx: List[InputVC] = field(default_factory=list, repr=False)
+    busy_cycles: int = 0
+    rr: int = 0
 
     @classmethod
     def build(cls, cid: ChannelId, src: Endpoint, dst: Endpoint, delay: int, config: SimConfig) -> "Channel":
@@ -78,53 +91,32 @@ class InputVC:
     """
 
     buffer: Deque[Flit] = field(default_factory=deque)
-    assignment: Optional[Tuple[int, ChannelId, int]] = None
-
-    @property
-    def front(self) -> Optional[Flit]:
-        return self.buffer[0] if self.buffer else None
+    assignment: Optional[Tuple[int, Channel, int]] = None
 
 
 class Router:
-    """One switch: input VCs per incoming channel, round-robin output
-    arbitration over its outgoing channels."""
+    """One switch: the input VCs of its incoming channels, walked as
+    one slot table.  Its outgoing channels carry their own arbitration
+    state."""
 
     def __init__(self, switch_id: int, config: SimConfig) -> None:
         self.switch_id = switch_id
         self._config = config
-        self.inputs: Dict[ChannelId, List[InputVC]] = {}
-        self.output_channels: List[ChannelId] = []
-        self._rr: Dict[ChannelId, int] = {}
-        # Every (cid, vc, ivc) input slot in scan order (channel id, then
-        # VC), rebuilt as the fabric adds inputs and fixed afterwards,
-        # so a router visit walks one prebuilt list.
-        self.slots: List[Tuple[ChannelId, int, InputVC]] = []
+        # Every (channel, vc, ivc) input slot in scan order (channel id,
+        # then VC), kept sorted as the fabric adds inputs and fixed
+        # afterwards, so a router visit walks one prebuilt list.
+        self.slots: List[Tuple[Channel, int, InputVC]] = []
 
-    def add_input(self, cid: ChannelId) -> None:
-        self.inputs[cid] = [InputVC() for _ in range(self._config.num_vcs)]
-        self.slots = [
-            (c, vc, ivc) for c in sorted(self.inputs) for vc, ivc in enumerate(self.inputs[c])
-        ]
+    def add_input(self, channel: Channel) -> None:
+        channel.rx = [InputVC() for _ in range(self._config.num_vcs)]
+        self.slots.extend((channel, vc, ivc) for vc, ivc in enumerate(channel.rx))
+        self.slots.sort(key=lambda slot: (slot[0].cid, slot[1]))
 
-    def add_output(self, cid: ChannelId) -> None:
-        self.output_channels.append(cid)
-        self._rr[cid] = 0
-
-    def accept(self, cid: ChannelId, vc: int, flit: Flit, depth: int) -> None:
-        """Store an arriving flit in the addressed input VC."""
-        buf = self.inputs[cid][vc]
-        if len(buf.buffer) >= depth:
-            raise SimulationError(
-                f"buffer overflow at S{self.switch_id} {cid} vc{vc}: "
-                "credit accounting is broken"
-            )
-        buf.buffer.append(flit)
-
-    def arbitrate(self, cid: ChannelId, requesters: List[int]) -> int:
+    def arbitrate(self, channel: Channel, requesters: List[int]) -> int:
         """Round-robin winner among requester indices for an output."""
         if not requesters:
             raise SimulationError("arbitrate called with no requesters")
-        start = self._rr[cid]
+        start = channel.rr
         requesters = sorted(requesters)
         for r in requesters:
             if r >= start:
@@ -132,7 +124,7 @@ class Router:
                 break
         else:
             winner = requesters[0]
-        self._rr[cid] = winner + 1
+        channel.rr = winner + 1
         return winner
 
 
@@ -145,60 +137,17 @@ class Nic:
     immediately; credits return with the channel delay).
     """
 
-    def __init__(self, processor: int, inject_channel: ChannelId) -> None:
+    def __init__(self, processor: int, inject_channel: Channel) -> None:
         self.processor = processor
         self.inject_channel = inject_channel
-        self.queue: Deque[Packet] = deque()
         self.streaming: Optional[Tuple[Packet, int]] = None  # (packet, vc)
-        # Sorted inject times of queued packets, maintained on
-        # enqueue/dequeue so idle-advance scheduling can binary-search
-        # instead of rescanning the whole queue every stalled cycle.
-        self._inject_times: List[int] = []
         # Min-heap of (inject_cycle, packet_id, packet) over queued
-        # packets, so selecting the next packet to stream is a peek
-        # instead of a min() scan of the queue.  Entries go stale when
-        # a packet is dequeued; ``_queued_ids`` marks the live ones and
-        # :meth:`peek_eligible` pops stale heads lazily.
-        self._pending: List[Tuple[int, int, Packet]] = []
-        self._queued_ids: set = set()
+        # packets: the head streams next once its inject cycle has
+        # come, and until then its cycle is when the NIC wakes.
+        self.pending: List[Tuple[int, int, Packet]] = []
 
     def enqueue(self, packet: Packet) -> None:
-        self.queue.append(packet)
-        insort(self._inject_times, packet.inject_cycle)
-        heappush(self._pending, (packet.inject_cycle, packet.packet_id, packet))
-        self._queued_ids.add(packet.packet_id)
-
-    def dequeue(self, packet: Packet) -> None:
-        """Remove a packet selected for streaming from the queue."""
-        self.queue.remove(packet)
-        idx = bisect_right(self._inject_times, packet.inject_cycle) - 1
-        # Equal times are interchangeable; remove any one slot.
-        self._inject_times.pop(idx)
-        self._queued_ids.discard(packet.packet_id)
-
-    def peek_eligible(self, t: int) -> Optional[Packet]:
-        """The queued packet with the smallest ``(inject_cycle,
-        packet_id)`` whose inject time has arrived, or ``None``.
-
-        Identical to ``min(eligible)`` over the queue — the heap order
-        is exactly that key — without scanning it.
-        """
-        pending, queued = self._pending, self._queued_ids
-        while pending and pending[0][1] not in queued:
-            heappop(pending)
-        if pending and pending[0][0] <= t:
-            return pending[0][2]
-        return None
-
-    def pending_inject_cycles(self) -> List[int]:
-        """Inject times of queued packets (for idle-skip scheduling)."""
-        return list(self._inject_times)
-
-    def next_inject_after(self, after: int) -> Optional[int]:
-        """Earliest queued inject time strictly greater than ``after``,
-        found by binary search over the sorted time cache."""
-        idx = bisect_right(self._inject_times, after)
-        return self._inject_times[idx] if idx < len(self._inject_times) else None
+        heappush(self.pending, (packet.inject_cycle, packet.packet_id, packet))
 
     def abort_stream(self, packet_id: int) -> Optional[int]:
         """Stop streaming a killed packet; returns its VC if it held one."""

@@ -8,13 +8,16 @@ saturation point.  Useful here to quantify the trade-off the
 methodology makes: a generated network is provisioned for its target
 application's permutations, so under *uniform* random traffic it
 saturates earlier than the mesh whose resources it undercuts.
+
+:func:`run_open_loop` measures one offered-load point;
+:func:`repro.sweeps.run_sweep` builds curves from such points.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.obs import Observability
@@ -200,14 +203,7 @@ def run_open_loop(
 
     # Drain without new injections, bounded: a saturated network never
     # fully drains its backlog in time.
-    t = max(t, horizon)
-    bound = horizon + drain_cycles
-    while engine.busy() and t < bound:
-        if engine.step(t):
-            t += 1
-            continue
-        next_t = engine.next_cycle(t)
-        t = next_t if next_t is not None else t + 1
+    engine.drain(max(t, horizon), horizon + drain_cycles)
     saturated = engine.busy()
     engine.publish_metrics()
 
@@ -224,23 +220,3 @@ def run_open_loop(
         p99_latency=nearest_rank_percentile(latencies, 99),
     )
 
-
-def latency_throughput_curve(
-    topology: Topology,
-    rates: Sequence[float],
-    pattern: DestinationPattern = uniform_random,
-    **kwargs,
-) -> List[LoadPoint]:
-    """Sweep offered loads; stops early once the network saturates."""
-    points = []
-    for rate in rates:
-        point = run_open_loop(topology, rate, pattern=pattern, **kwargs)
-        points.append(point)
-        if point.saturated:
-            break
-    return points
-
-
-def saturation_throughput(points: Sequence[LoadPoint]) -> float:
-    """Highest accepted rate over a measured curve."""
-    return max((p.accepted_flits_per_node_cycle for p in points), default=0.0)

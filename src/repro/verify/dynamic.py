@@ -136,7 +136,13 @@ def replay_pattern(
             inject_cycle=int(round(message.t_start * scale)),
             seq=seq,
         )
-    cycles = _drain(engine, config)
+    # Replay supplies every injection up front, so the engine only has
+    # to drain; a network still busy past max_cycles never will.
+    engine.drain(0, config.max_cycles + 1)
+    if engine.busy():
+        raise SimulationError(
+            f"pattern replay exceeded {config.max_cycles} cycles; likely livelock"
+        )
     return ReplayReport(
         topology_name=topology.name,
         pattern_name=pattern.name,
@@ -146,7 +152,7 @@ def replay_pattern(
         contention_stalls=engine.contention_stalls,
         deadlocks_detected=engine.deadlocks_detected,
         retransmissions=engine.retransmissions,
-        cycles=cycles,
+        cycles=engine.cycles_simulated,
     )
 
 
@@ -210,24 +216,3 @@ def _max_route_hops(topology: Topology, pattern: CommunicationPattern) -> int:
         longest = max(longest, topology.routing.route(comm).num_hops)
     return longest
 
-
-def _drain(engine: Engine, config: SimConfig) -> int:
-    """Run the engine until every submitted packet has left the network.
-
-    The idle-skipping main loop of
-    :func:`repro.simulator.simulation.simulate`, minus the process
-    replay (the pattern supplies injection times directly).
-    """
-    t = 0
-    while engine.busy():
-        if t > config.max_cycles:
-            raise SimulationError(
-                f"pattern replay exceeded {config.max_cycles} cycles; "
-                "likely livelock"
-            )
-        if engine.step(t):
-            t += 1
-            continue
-        next_t = engine.next_cycle(t)
-        t = next_t if next_t is not None else t + 1
-    return engine.cycles_simulated

@@ -33,7 +33,7 @@ from repro.eval.power import estimate_energy
 from repro.faults import repair_routes, single_link_scenarios
 from repro.model import CliqueAnalysis
 from repro.simulator import SimConfig
-from repro.simulator.openloop import latency_throughput_curve
+from repro.simulator.openloop import run_open_loop
 from repro.sweeps.patterns import transpose_pattern, uniform_random
 from repro.synthesis import (
     AnnealSchedule,
@@ -307,15 +307,15 @@ class TestOpenLoop:
         patterns = {"uniform": uniform_random, "transpose": transpose_pattern}
         return {
             (name, pattern_name): [
-                point.avg_latency
-                for point in latency_throughput_curve(
+                run_open_loop(
                     topology,
-                    self.RATES,
+                    rate,
                     pattern=pattern,
                     link_delays=delays,
                     measure_cycles=1200,
                     warmup_cycles=300,
-                )
+                ).avg_latency
+                for rate in self.RATES
             ]
             for name, (topology, delays) in topologies.items()
             for pattern_name, pattern in patterns.items()

@@ -22,11 +22,15 @@ class TestFabricConstruction:
         assert len(engine.channels) == 4 * 2 + 4 + 4
 
     def test_router_ports(self):
-        engine, _ = _engine(mesh(2, 2))
-        # Corner switch: 2 link inputs + 1 injection input.
+        engine, config = _engine(mesh(2, 2))
+        # Corner switch: 2 link inputs + 1 injection input, and 2 link
+        # outputs + 1 ejection output.
         r = engine.routers[0]
-        assert len(r.inputs) == 3
-        assert len(r.output_channels) == 3
+        inputs = {channel.cid for channel, _, _ in r.slots}
+        assert len(inputs) == 3
+        assert len(r.slots) == 3 * config.num_vcs
+        outputs = [ch for ch in engine.channels.values() if ch.src == ("router", 0)]
+        assert len(outputs) == 3
 
     def test_crossbar_has_only_endpoint_channels(self):
         engine, _ = _engine(crossbar(4))

@@ -6,8 +6,8 @@ docs/SIMULATOR.md): pops never go backwards in time, and same-time
 events pop in push order (each time's list is appended in push order,
 so source ordering is fixed at push time).  Hypothesis drives random
 push/pop interleavings at them.  The engine-level checks the dispatch
-loop owns (time skew, buffer overflow) are tested through
-``Engine.step`` at the end.
+loop owns (time skew, arrival into the input VC, buffer overflow) are
+tested through ``Engine.step`` at the end.
 """
 
 import pytest
@@ -150,7 +150,8 @@ class TestEngineDispatch:
     @pytest.mark.parametrize("kind", [FLIT, CREDIT])
     def test_past_due_flit_or_credit_is_time_skew(self, kind):
         engine = _engine()
-        payload = (self.LINK, 0, _flit(engine)) if kind == FLIT else (self.LINK, 0)
+        channel = engine.channels[self.LINK]
+        payload = (channel, 0, _flit(engine)) if kind == FLIT else (channel, 0)
         engine._events.push(5, kind, payload)
         with pytest.raises(SimulationError, match="engine time skew: event at 5 processed at 6"):
             engine.step(6)
@@ -162,13 +163,30 @@ class TestEngineDispatch:
         assert engine.nic_wakeups == 1
         assert not engine._events
 
+    def test_arriving_flit_lands_in_its_input_vc(self):
+        """A FLIT event lands in ``channel.rx[vc]`` of the receiving
+        router and puts that router in the active set."""
+        engine = _engine()
+        channel = engine.channels[self.LINK]
+        # A body flit with no VC assignment cannot move on, so it is
+        # still buffered after the router pass of the same step.
+        flit = _flit(engine, 1)
+        engine._events.push(0, FLIT, (channel, 1, flit))
+        assert not engine._active_routers
+        engine.step(0)
+        assert list(channel.rx[1].buffer) == [flit]
+        assert not channel.rx[0].buffer
+        assert engine._active_routers == {1}
+
     def test_arrival_into_full_input_vc_is_buffer_overflow(self):
         engine = _engine()
         channel = engine.channels[self.LINK]
-        buffer = engine.routers[1].inputs[self.LINK][0].buffer
+        buffer = channel.rx[0].buffer
         buffer.extend(_flit(engine, i) for i in range(channel.buffer_depth))
-        engine._events.push(0, FLIT, (self.LINK, 0, _flit(engine)))
-        with pytest.raises(SimulationError, match="buffer overflow at S1"):
+        engine._events.push(0, FLIT, (channel, 0, _flit(engine)))
+        with pytest.raises(
+            SimulationError, match=r"buffer overflow at S1 \('link', 0, 0\) vc0"
+        ):
             engine.step(0)
 
     def test_push_for_the_time_being_dispatched_runs_in_that_step(self, monkeypatch):

@@ -1,5 +1,7 @@
 """Unit tests for channels, routers and NICs."""
 
+import heapq
+
 import pytest
 
 from repro.errors import SimulationError
@@ -64,70 +66,69 @@ class TestRouter:
     def _router(self):
         cfg = SimConfig(num_vcs=2, vc_buffer_flits=2)
         r = Router(0, cfg)
-        r.add_input(("link", 0, 0))
-        r.add_output(("link", 1, 0))
-        return r
-
-    def test_accept_buffers_flit(self):
-        r = self._router()
-        pkt = _packet()
-        r.accept(("link", 0, 0), 0, Flit(pkt, 0), depth=2)
-        assert r.inputs[("link", 0, 0)][0].front.is_head
-
-    def test_accept_overflow_raises(self):
-        r = self._router()
-        pkt = _packet()
-        r.accept(("link", 0, 0), 0, Flit(pkt, 0), depth=1)
-        with pytest.raises(SimulationError):
-            r.accept(("link", 0, 0), 0, Flit(pkt, 1), depth=1)
+        link = Channel.build(("link", 0, 0), ("router", 1), ("router", 0), 1, cfg)
+        r.add_input(link)
+        return r, link, cfg
 
     def test_slot_table_is_built_with_the_inputs(self):
         """Every input VC is a slot, in (channel id, VC) scan order, as
-        soon as its input is added — no lazy build on the first visit."""
-        r = self._router()
-        r.add_input(("inj", 0))
-        assert [(cid, vc) for cid, vc, _ in r.slots] == [
+        soon as its input is added — no lazy build on the first visit —
+        and each slot's buffer is its channel's receiver-side VC."""
+        r, link, cfg = self._router()
+        inj = Channel.build(("inj", 0), ("nic", 0), ("router", 0), 1, cfg)
+        r.add_input(inj)
+        assert [(channel.cid, vc) for channel, vc, _ in r.slots] == [
             (("inj", 0), 0),
             (("inj", 0), 1),
             (("link", 0, 0), 0),
             (("link", 0, 0), 1),
         ]
-        assert all(
-            slot[2] is ivc for slot, ivc in zip(r.slots[2:], r.inputs[("link", 0, 0)])
-        )
+        assert all(ivc is channel.rx[vc] for channel, vc, ivc in r.slots)
+        assert r.slots[2][0] is link
 
     def test_round_robin_arbitration(self):
-        r = self._router()
-        out = ("link", 1, 0)
+        r, _, cfg = self._router()
+        out = _channel(config=cfg)
         assert r.arbitrate(out, [0, 1, 2]) == 0
         assert r.arbitrate(out, [0, 1, 2]) == 1
         assert r.arbitrate(out, [0, 1, 2]) == 2
+        assert out.rr == 3
         assert r.arbitrate(out, [0, 1, 2]) == 0  # wraps
+        assert out.rr == 1
 
     def test_arbitrate_empty_raises(self):
-        r = self._router()
+        r, _, cfg = self._router()
         with pytest.raises(SimulationError):
-            r.arbitrate(("link", 1, 0), [])
+            r.arbitrate(_channel(config=cfg), [])
 
 
 class TestNic:
+    def _nic(self):
+        return Nic(0, Channel.build(("inj", 0), ("nic", 0), ("router", 0), 1, SimConfig()))
+
     def test_queue_and_pending_cycles(self):
-        nic = Nic(0, ("inj", 0))
-        nic.enqueue(_packet(pid=1))
-        p2 = _packet(pid=2)
-        p2.inject_cycle = 50
-        nic.enqueue(p2)
-        assert sorted(nic.pending_inject_cycles()) == [0, 50]
+        """``Nic.pending`` is one heap keyed (inject_cycle, packet_id):
+        its head is the next packet to stream, whatever the enqueue
+        order."""
+        nic = self._nic()
+        late, early_b, early_a = _packet(pid=1), _packet(pid=3), _packet(pid=2)
+        late.inject_cycle = 50
+        for packet in (late, early_b, early_a):
+            nic.enqueue(packet)
+        order = []
+        while nic.pending:
+            order.append(heapq.heappop(nic.pending)[1:])
+        assert order == [(2, early_a), (3, early_b), (1, late)]
 
     def test_abort_stream_returns_vc(self):
-        nic = Nic(0, ("inj", 0))
+        nic = self._nic()
         pkt = _packet(pid=3)
         nic.streaming = (pkt, 2)
         assert nic.abort_stream(3) == 2
         assert nic.streaming is None
 
     def test_abort_stream_ignores_other_packets(self):
-        nic = Nic(0, ("inj", 0))
+        nic = self._nic()
         pkt = _packet(pid=3)
         nic.streaming = (pkt, 2)
         assert nic.abort_stream(99) is None

@@ -4,9 +4,10 @@
 find the victim's held resources; it now reads them straight from
 ``_vc_assignments``, a registry maintained where assignments are made
 and cleared.  These tests prove the registry is *exact* — on every kill
-it names precisely the assignments a full fabric scan finds — and that
-kill/retransmit accounting over deadlock and fault campaigns is
-identical to a vendored full-scan implementation of the release.
+it names precisely the assignments a full scan of every router's slot
+table finds — and that kill/retransmit accounting (per-channel busy
+cycles included) over deadlock and fault campaigns is identical to a
+vendored full-scan implementation of the release.
 """
 
 from repro.faults import FaultScenario, FaultState, LinkFault
@@ -27,10 +28,9 @@ def _scan_assignments(engine, packet_id):
     belongs to ``packet_id``."""
     held = set()
     for router in engine.routers.values():
-        for vcs in router.inputs.values():
-            for ivc in vcs:
-                if ivc.assignment is not None and ivc.assignment[0] == packet_id:
-                    held.add(id(ivc))
+        for _, _, ivc in router.slots:
+            if ivc.assignment is not None and ivc.assignment[0] == packet_id:
+                held.add(id(ivc))
     return held
 
 
@@ -64,16 +64,15 @@ def _full_scan_kill(engine):
         victim.killed = True
         engine._vc_assignments.pop(victim.packet_id, None)
         for router in engine.routers.values():
-            for vcs in router.inputs.values():
-                for ivc in vcs:
-                    if ivc.assignment is not None and ivc.assignment[0] == victim.packet_id:
-                        _, out_cid, out_vc = ivc.assignment
-                        engine.channels[out_cid].owner[out_vc] = None
-                        ivc.assignment = None
+            for _, _, ivc in router.slots:
+                if ivc.assignment is not None and ivc.assignment[0] == victim.packet_id:
+                    _, out_channel, out_vc = ivc.assignment
+                    out_channel.owner[out_vc] = None
+                    ivc.assignment = None
         nic = engine.nics[victim.source]
         held_vc = nic.abort_stream(victim.packet_id)
         if held_vc is not None:
-            engine.channels[nic.inject_channel].owner[held_vc] = None
+            nic.inject_channel.owner[held_vc] = None
         engine._active_routers.update(engine.routers)
         engine._activate_nic(victim.source)
 
@@ -103,7 +102,7 @@ def _accounting(engine):
         engine.fault_packet_kills,
         engine.flits_in_network,
         tuple(engine.packet_latencies),
-        sorted(engine._channel_busy_cycles.items()),
+        {cid: channel.busy_cycles for cid, channel in engine.channels.items()},
     )
 
 

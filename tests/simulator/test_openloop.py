@@ -11,12 +11,7 @@ import pytest
 
 import repro
 from repro.errors import SimulationError
-from repro.simulator.openloop import (
-    LoadPoint,
-    latency_throughput_curve,
-    run_open_loop,
-    saturation_throughput,
-)
+from repro.simulator.openloop import run_open_loop
 from repro.sweeps.patterns import (
     hotspot_pattern,
     neighbor_pattern,
@@ -178,67 +173,13 @@ class TestFaultKillObserverOrdering:
 
 
 class TestCurve:
-    def test_curve_is_ordered_and_stops_on_saturation(self):
-        points = latency_throughput_curve(
-            mesh(2, 2), [0.05, 0.2], measure_cycles=600
-        )
-        assert [p.offered_flits_per_node_cycle for p in points] == [0.05, 0.2]
-
-    def test_saturation_throughput(self):
-        points = [
-            LoadPoint(0.1, 0.1, 10, 100, False),
-            LoadPoint(0.5, 0.42, 300, 400, True),
-        ]
-        assert saturation_throughput(points) == 0.42
-        assert saturation_throughput([]) == 0.0
-
     def test_crossbar_latency_flat_under_load(self):
         """The non-blocking crossbar's latency barely moves with load
         (only endpoint serialization)."""
-        points = latency_throughput_curve(
-            crossbar(8), [0.05, 0.4], measure_cycles=800
+        low, high = (
+            run_open_loop(crossbar(8), rate, measure_cycles=800) for rate in (0.05, 0.4)
         )
-        assert points[-1].avg_latency < 3 * points[0].avg_latency
-
-    def test_single_rate_curve(self):
-        points = latency_throughput_curve(mesh(2, 2), [0.1], measure_cycles=600)
-        assert len(points) == 1
-        assert points[0].offered_flits_per_node_cycle == 0.1
-
-    def test_empty_rate_list(self):
-        assert latency_throughput_curve(mesh(2, 2), []) == []
-
-    def test_monotone_curve_peak_is_last_point(self):
-        """A curve that never saturates reports its highest accepted
-        rate, which on a monotone curve is the last point's."""
-        points = [
-            LoadPoint(0.1, 0.09, 10, 100, False),
-            LoadPoint(0.3, 0.28, 12, 300, False),
-            LoadPoint(0.5, 0.47, 15, 500, False),
-        ]
-        assert saturation_throughput(points) == 0.47
-
-    def test_non_monotone_noise_peak_is_max_not_last(self):
-        """Post-saturation accepted throughput can droop; the peak must
-        be the maximum over the curve, not the final point."""
-        points = [
-            LoadPoint(0.2, 0.19, 10, 100, False),
-            LoadPoint(0.6, 0.55, 40, 300, False),
-            LoadPoint(1.0, 0.48, 600, 280, True),
-        ]
-        assert saturation_throughput(points) == 0.55
-
-    def test_curve_stops_early_once_saturated(self):
-        """The saturating middle rate must be the last point measured."""
-        points = latency_throughput_curve(
-            mesh(2, 1),
-            [0.05, 2.0, 0.1],
-            warmup_cycles=100,
-            measure_cycles=400,
-            drain_cycles=200,
-        )
-        assert points[-1].saturated
-        assert len(points) == 2
+        assert high.avg_latency < 3 * low.avg_latency
 
 
 class TestImports:

@@ -5,7 +5,9 @@ import pytest
 from repro.errors import SimulationError
 from repro.simulator import SimConfig, simulate
 from repro.topology import crossbar, mesh, mesh_for, torus
+from repro.verify import replay_pattern
 from repro.workloads import PhaseProgramBuilder
+from repro.workloads.nas import benchmark
 
 from tests.simulator.diff_corpus import _idle_heavy
 
@@ -215,3 +217,25 @@ class TestIdleHeavy:
         assert r.flit_hops == 68000
         assert r.deadlocks_detected == 0
         assert r.retransmissions == 0
+
+
+class TestMaxCyclesGuard:
+    @pytest.mark.parametrize(
+        "run, message",
+        [
+            (
+                lambda bench, top, cfg: simulate(bench.program, top, cfg),
+                r"simulation exceeded 10 cycles \(cg-8 on mesh-4x2\); likely livelock",
+            ),
+            (
+                lambda bench, top, cfg: replay_pattern(top, bench.pattern, config=cfg),
+                r"pattern replay exceeded 10 cycles; likely livelock",
+            ),
+        ],
+        ids=["simulate", "replay_pattern"],
+    )
+    def test_exceeding_max_cycles_raises(self, run, message):
+        """cg-8 needs thousands of cycles, so a ten-cycle budget trips
+        each driver's livelock guard instead of returning a result."""
+        with pytest.raises(SimulationError, match=message):
+            run(benchmark("cg", 8), mesh(4, 2), SimConfig(max_cycles=10))
