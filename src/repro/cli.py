@@ -327,11 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
         "ends in .svg, ASCII otherwise)",
     )
     swp.add_argument(
-        "--strict-patterns", action="store_true",
-        help="fail when the pattern's size requirement does not hold "
-        "instead of falling back to uniform traffic",
-    )
-    swp.add_argument(
         "--json", dest="json_out", default=None, metavar="PATH",
         help="write the canonical SaturationCurve JSON to PATH",
     )
@@ -634,7 +629,6 @@ def _cmd_sweep(args) -> int:
         link_delays=link_delays,
         obs=obs,
         label=top_label,
-        strict_patterns=args.strict_patterns,
         **_runner_kwargs(args),
     )
     print(curve.render())

@@ -70,7 +70,7 @@ from repro.eval.serialize import canonical_json, config_to_dict, result_to_dict
 from repro.model.message import Communication
 from repro.model.pattern import CommunicationPattern
 from repro.obs import DISABLED, Observability
-from repro.faults.repair import repair_routes
+from repro.faults.repair import all_pairs, repair_routes
 from repro.faults.spec import FaultScenario, LinkFault, SwitchFault
 from repro.faults.state import FaultState
 from repro.simulator.config import SimConfig
@@ -329,13 +329,6 @@ def _program_fingerprint(program: Program) -> dict:
     }
 
 
-def _all_pairs(n: int) -> Iterable[Communication]:
-    """Every ordered (source, dest) pair of ``n`` processors."""
-    return (
-        Communication(src, dest) for src in range(n) for dest in range(n) if src != dest
-    )
-
-
 def _topology_fingerprint(
     topology: Topology,
     pairs: Callable[[], Iterable[Communication]],
@@ -575,7 +568,7 @@ class OpenLoopCell:
                 "kind": "openloop",
                 "topology": _topology_fingerprint(
                     self.topology,
-                    lambda: _all_pairs(self.topology.network.num_processors),
+                    lambda: all_pairs(self.topology.network.num_processors),
                     self.link_delays,
                     adaptive=self.topology.kind == "torus",
                 ),

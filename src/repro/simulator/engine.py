@@ -109,6 +109,10 @@ class Engine:
         # until a packet has been killed no buffered flit can be a
         # killed one, so router visits skip the drop pass.
         self._any_killed = False
+        # packet_id -> Packet for live packets only: delivery and kills
+        # remove theirs, so deadlock recovery scans what can still hold
+        # network resources, and memory stays bounded however often a
+        # run recovers.
         self._packets: Dict[int, Packet] = {}
         self._next_packet_id = 0
         self.flits_in_network = 0
@@ -405,6 +409,7 @@ class Engine:
 
     def _complete_delivery(self, packet: Packet, t: int) -> None:
         packet.delivered = True
+        del self._packets[packet.packet_id]
         self.delivered_packets += 1
         self.packet_latencies.append(t - packet.inject_cycle)
         if self._delivery_handler is not None:
@@ -649,11 +654,7 @@ class Engine:
         recovery)."""
         # Only a live packet that has sent a flit holds network
         # resources that killing it would free.
-        stuck = [
-            pkt
-            for pkt in self._packets.values()
-            if not pkt.killed and not pkt.delivered and pkt.flits_sent > 0
-        ]
+        stuck = [pkt for pkt in self._packets.values() if pkt.flits_sent > 0]
         if not stuck:
             # Progress stalled with no killable packet: accounting bug.
             raise SimulationError(
@@ -694,6 +695,7 @@ class Engine:
         """Mark a packet killed and release every resource it holds; its
         flits in buffers/in flight drop via the killed flag."""
         victim.killed = True
+        del self._packets[victim.packet_id]
         # The assignment registry maps the victim straight to the input
         # VCs it holds — no fabric-wide scan.
         for ivc in self._vc_assignments.pop(victim.packet_id, {}).values():

@@ -1,16 +1,18 @@
 """Automated saturation sweeps with adaptive knee refinement.
 
-:func:`run_sweep` walks offered injection rates over one
-(topology, pattern) pair: an initial evenly spaced grid is measured
-first (fanned out through the cached parallel eval runner —
-:class:`repro.eval.parallel.OpenLoopCell` — so repeats hit the
-content-addressed cache byte-identically), then the knee is located by
-bisecting the bracket between the last unsaturated and first saturated
-rate.  Every rate is rounded to :data:`RATE_DECIMALS` decimals so the
-bisection grid, and therefore every cache key, is reproducible across
-runs and machines.
+:func:`run_sweep_suite` walks offered injection rates over every
+(topology, pattern) pair of a grid, and :func:`run_sweep` is its
+one-pair case.  Every pair's initial evenly spaced grid is measured
+first, in one batch fanned out through the cached parallel eval runner
+(:class:`repro.eval.parallel.OpenLoopCell`, so repeats hit the
+content-addressed cache byte-identically); then each pair's knee is
+located by bisecting the bracket between its last unsaturated and
+first saturated rate.  Every rate is rounded to :data:`RATE_DECIMALS`
+decimals so the bisection grid, and therefore every cache key, is
+reproducible across runs and machines.
 
-Saturation criteria (any one marks a point saturated):
+Saturation criteria (any one marks a point saturated; the parameters
+come from :class:`SweepConfig`):
 
 * **backlog** — the engine could not drain the offered load within the
   drain window (:attr:`LoadPoint.saturated`);
@@ -27,7 +29,7 @@ Saturation criteria (any one marks a point saturated):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
@@ -114,56 +116,48 @@ class SweepConfig:
             )
 
     def params_dict(self) -> Dict[str, object]:
-        """The artifact's ``params`` section."""
+        """The artifact's ``params`` section: every field but the seed,
+        which the curve records on its own."""
         return {
-            "min_rate": self.min_rate,
-            "max_rate": self.max_rate,
-            "initial_points": self.initial_points,
-            "refine_iters": self.refine_iters,
-            "latency_factor": self.latency_factor,
-            "plateau_fraction": self.plateau_fraction,
-            "packet_bytes": self.packet_bytes,
-            "warmup_cycles": self.warmup_cycles,
-            "measure_cycles": self.measure_cycles,
-            "drain_cycles": self.drain_cycles,
-            "criterion": self.criterion,
+            f.name: getattr(self, f.name) for f in fields(self) if f.name != "seed"
         }
 
 
 def point_is_saturated(
     point: LoadPoint,
     base_latency: Optional[float],
-    latency_factor: float = 4.0,
-    plateau_fraction: float = 0.85,
+    sweep: SweepConfig = SweepConfig(),
     payload_fraction: float = 1.0,
-    criterion: str = "mean-knee",
 ) -> bool:
     """Whether one measured point meets any saturation criterion.
 
-    ``payload_fraction`` corrects the plateau criterion for header
-    overhead: offered load counts every flit, but accepted throughput
-    counts payload flits only, so even an unloaded network accepts at
-    most ``payload_fraction x offered``.  ``criterion`` picks the
-    latency the slope test reads (``base_latency`` must come from the
-    same criterion — :func:`latency_reference` takes care of that).
+    ``sweep`` supplies the rule's parameters (``latency_factor``,
+    ``plateau_fraction`` and ``criterion``).  ``payload_fraction``
+    corrects the plateau criterion for header overhead: offered load
+    counts every flit, but accepted throughput counts payload flits
+    only, so even an unloaded network accepts at most
+    ``payload_fraction x offered``.  ``base_latency`` must come from the
+    same criterion — :func:`latency_reference` takes care of that.
     """
     if point.saturated:
         return True
     if (
         point.accepted_flits_per_node_cycle
-        < plateau_fraction * payload_fraction * point.offered_flits_per_node_cycle
+        < sweep.plateau_fraction * payload_fraction * point.offered_flits_per_node_cycle
     ):
         return True
     if base_latency is not None and base_latency > 0:
-        return criterion_latency(point, criterion) > latency_factor * base_latency
+        return (
+            criterion_latency(point, sweep.criterion)
+            > sweep.latency_factor * base_latency
+        )
     return False
 
 
 def latency_reference(
     points: Sequence[LoadPoint],
-    plateau_fraction: float = 0.85,
+    sweep: SweepConfig = SweepConfig(),
     payload_fraction: float = 1.0,
-    criterion: str = "mean-knee",
 ) -> Optional[float]:
     """Latency baseline for the slope criterion: the criterion latency
     of the lowest-rate measured point that delivered traffic and is not
@@ -176,21 +170,16 @@ def latency_reference(
     """
     for point in points:
         if point.delivered > 0 and not point_is_saturated(
-            point,
-            base_latency=None,
-            plateau_fraction=plateau_fraction,
-            payload_fraction=payload_fraction,
+            point, None, sweep, payload_fraction
         ):
-            return criterion_latency(point, criterion)
+            return criterion_latency(point, sweep.criterion)
     return None
 
 
 def detect_saturation(
     points: Sequence[LoadPoint],
-    latency_factor: float = 4.0,
-    plateau_fraction: float = 0.85,
+    sweep: SweepConfig = SweepConfig(),
     payload_fraction: float = 1.0,
-    criterion: str = "mean-knee",
 ) -> Optional[int]:
     """Index of the first saturated point of a rate-sorted curve.
 
@@ -204,18 +193,9 @@ def detect_saturation(
     independently, so one noisy dip above the plateau threshold near
     the knee does not flag saturation early.
     """
-    if not points:
-        return None
-    base = latency_reference(points, plateau_fraction, payload_fraction, criterion)
+    base = latency_reference(points, sweep, payload_fraction)
     for i, point in enumerate(points):
-        if point_is_saturated(
-            point,
-            base_latency=base,
-            latency_factor=latency_factor,
-            plateau_fraction=plateau_fraction,
-            payload_fraction=payload_fraction,
-            criterion=criterion,
-        ):
+        if point_is_saturated(point, base, sweep, payload_fraction):
             return i
     return None
 
@@ -234,15 +214,14 @@ def _initial_rates(sweep: SweepConfig) -> List[float]:
     return sorted(set(rates))
 
 
+#: One sweep pair: ``(label, topology, link_delays, canonical spec)``.
+_Pair = Tuple[str, Topology, Optional[Dict[int, int]], str]
+
+
 def _make_cell(
-    label: str,
-    topology: Topology,
-    spec: str,
-    rate: float,
-    sweep: SweepConfig,
-    config: SimConfig,
-    link_delays: Optional[Dict[int, int]],
+    pair: _Pair, rate: float, sweep: SweepConfig, config: SimConfig
 ) -> OpenLoopCell:
+    label, topology, link_delays, spec = pair
     return OpenLoopCell(
         label=f"{label}/{spec}@{rate:g}",
         topology=topology,
@@ -269,68 +248,117 @@ def run_sweep(
     progress: Optional[ProgressCallback] = None,
     obs: Optional[Observability] = None,
     label: Optional[str] = None,
-    strict_patterns: bool = False,
-    premeasured: Optional[Dict[float, LoadPoint]] = None,
+    *,
+    strict_patterns: bool = True,
 ) -> SaturationCurve:
     """Sweep offered load to saturation on one (topology, pattern) pair.
 
-    The initial grid fans out over ``jobs`` workers; bisection steps are
-    inherently sequential but still run through the cache, so a re-run
-    of an identical sweep is free end to end and byte-identical
-    (serial == parallel == cache-hit).
+    The one-pair case of :func:`run_sweep_suite`: its only curve, under
+    ``label`` (default: the topology's name).
 
-    ``premeasured`` seeds the sweep with already-measured load points
-    keyed by (rounded) offered rate — :func:`run_sweep_suite` uses it to
-    fan the whole grid's initial rates through one batched
-    :func:`~repro.eval.parallel.run_cells` call and hand each pair its
-    slice, so only the bisection refinements still run here.  Points
-    must come from cells built with identical parameters, or the curve
-    will mix measurements (the suite guarantees this by construction).
+    ``strict_patterns`` accepts only ``True``: pattern resolution is
+    always strict.  The keyword stays while the benchmark harness
+    (``bench/passes.py``) still passes it, and goes together with those
+    arguments.
+    """
+    if not strict_patterns:
+        raise SimulationError(
+            "strict_patterns=False is not supported: pattern resolution is "
+            "always strict, and a size-incompatible pattern raises"
+        )
+    result = run_sweep_suite(
+        [(label or topology.name, topology, link_delays)],
+        [pattern],
+        sweep=sweep,
+        config=config,
+        jobs=jobs,
+        cache=cache,
+        progress=progress,
+        obs=obs,
+    )
+    return result.curves[0][2]
+
+
+def run_sweep_suite(
+    topologies: Sequence[Tuple[str, Topology, Optional[Dict[int, int]]]],
+    patterns: Sequence[str],
+    sweep: Optional[SweepConfig] = None,
+    config: Optional[SimConfig] = None,
+    jobs: Optional[int] = None,
+    cache: Optional[ResultCache] = None,
+    progress: Optional[ProgressCallback] = None,
+    obs: Optional[Observability] = None,
+    label: str = "sweep-suite",
+) -> SweepResult:
+    """Sweep every pattern over every ``(label, topology, link_delays)``.
+
+    Every pair is validated first, in the coordinator, so a bad spec, a
+    size-incompatible pattern or a routing-aware pattern without a
+    topology fails before any cell runs.  The *entire* grid's initial
+    rate points — every (topology, pattern) pair times every initial
+    rate — then fan out through **one**
+    :func:`~repro.eval.parallel.run_cells` call over ``jobs`` workers,
+    so a worker pool sees the whole suite at once instead of one pair's
+    handful of cells between barriers.  Bisection refinements are
+    inherently sequential and run per pair, in process, one cell at a
+    time (and through the shared result cache, when one is given), so a
+    re-run of an identical suite is free end to end and byte-identical
+    (serial == parallel == cache-hit).
     """
     sweep = sweep or SweepConfig()
     config = config or SimConfig()
     obs = obs if obs is not None else DISABLED
-    spec = canonical_spec(pattern)
-    # Validate spec, size requirements, and routing-awareness up front,
-    # in the coordinator, so a bad sweep fails before any cell runs.
-    resolve_pattern(spec, topology=topology, strict=strict_patterns)
-    label = label or topology.name
+    rates = _initial_rates(sweep)
+    pairs: List[_Pair] = []
+    for top_label, topology, link_delays in topologies:
+        for pattern in patterns:
+            spec = canonical_spec(pattern)
+            resolve_pattern(spec, topology=topology)
+            pairs.append((top_label, topology, link_delays, spec))
+
+    cells = [_make_cell(pair, rate, sweep, config) for pair in pairs for rate in rates]
+    outcomes = run_cells(cells, jobs=jobs, cache=cache, progress=progress, obs=obs)
+    obs.metrics.counter("sweep.cells").inc(len(outcomes))
+
+    curves = []
+    for i, pair in enumerate(pairs):
+        pair_outcomes = outcomes[i * len(rates) : (i + 1) * len(rates)]
+        measured = {
+            rate: loadpoint_from_dict(outcome.payload)
+            for rate, outcome in zip(rates, pair_outcomes)
+        }
+        curve = _refine(pair, measured, sweep, config, cache, progress, obs)
+        curves.append((pair[0], pair[3], curve))
+    return SweepResult(label=label, curves=tuple(curves))
+
+
+def _refine(
+    pair: _Pair,
+    measured: Dict[float, LoadPoint],
+    sweep: SweepConfig,
+    config: SimConfig,
+    cache: Optional[ResultCache],
+    progress: Optional[ProgressCallback],
+    obs: Observability,
+) -> SaturationCurve:
+    """Bisect one pair's knee from its measured initial grid.
+
+    ``measured`` maps each rounded rate to its load point and gains one
+    entry per probe.  Each probe is one in-process
+    :func:`~repro.eval.parallel.run_cells` call: a worker pool would
+    add pure spawn overhead for a single cell.
+    """
+    label, topology, _, spec = pair
     flits = config.flits_for(sweep.packet_bytes)
     payload_fraction = (flits - 1) / flits
+
+    def sorted_points() -> List[LoadPoint]:
+        return [measured[r] for r in sorted(measured)]
 
     with obs.tracer.span(
         "sweep.run", topology=label, pattern=spec, nodes=topology.network.num_processors
     ):
-        measured: Dict[float, LoadPoint] = dict(premeasured or {})
-
-        def measure(rates: Sequence[float]) -> None:
-            todo = [rate for rate in rates if rate not in measured]
-            if not todo:
-                return
-            cells = [
-                _make_cell(label, topology, spec, rate, sweep, config, link_delays)
-                for rate in todo
-            ]
-            outcomes = run_cells(
-                cells, jobs=jobs, cache=cache, progress=progress, obs=obs
-            )
-            obs.metrics.counter("sweep.cells").inc(len(outcomes))
-            for rate, outcome in zip(todo, outcomes):
-                measured[rate] = loadpoint_from_dict(outcome.payload)
-
-        measure(_initial_rates(sweep))
-
-        def sorted_points() -> List[LoadPoint]:
-            return [measured[r] for r in sorted(measured)]
-
-        points = sorted_points()
-        first = detect_saturation(
-            points,
-            sweep.latency_factor,
-            sweep.plateau_fraction,
-            payload_fraction,
-            sweep.criterion,
-        )
+        first = detect_saturation(sorted_points(), sweep, payload_fraction)
         saturation_rate: Optional[float] = None
         if first is not None:
             rates = sorted(measured)
@@ -343,7 +371,14 @@ def run_sweep(
                 mid = _round_rate((lo + hi) / 2)
                 if mid <= lo or mid >= hi or mid in measured:
                     break
-                measure([mid])
+                (outcome,) = run_cells(
+                    [_make_cell(pair, mid, sweep, config)],
+                    cache=cache,
+                    progress=progress,
+                    obs=obs,
+                )
+                obs.metrics.counter("sweep.cells").inc()
+                measured[mid] = loadpoint_from_dict(outcome.payload)
                 obs.metrics.counter("sweep.refine_steps").inc()
                 # Recompute the latency baseline from the lowest
                 # unsaturated point measured so far: when the lowest
@@ -352,20 +387,8 @@ def run_sweep(
                 # saturated point's (inflated) latency would disagree
                 # with the final detect_saturation pass, which sees the
                 # new probe as the curve's lowest point.
-                base = latency_reference(
-                    sorted_points(),
-                    sweep.plateau_fraction,
-                    payload_fraction,
-                    sweep.criterion,
-                )
-                if point_is_saturated(
-                    measured[mid],
-                    base,
-                    sweep.latency_factor,
-                    sweep.plateau_fraction,
-                    payload_fraction,
-                    sweep.criterion,
-                ):
+                base = latency_reference(sorted_points(), sweep, payload_fraction)
+                if point_is_saturated(measured[mid], base, sweep, payload_fraction):
                     hi = mid
                 else:
                     lo = mid
@@ -373,13 +396,7 @@ def run_sweep(
             obs.metrics.gauge("sweep.saturation_rate").set(saturation_rate)
 
         points = sorted_points()
-        first = detect_saturation(
-            points,
-            sweep.latency_factor,
-            sweep.plateau_fraction,
-            payload_fraction,
-            sweep.criterion,
-        )
+        first = detect_saturation(points, sweep, payload_fraction)
         unsaturated = points if first is None else points[:first]
         pool = unsaturated if unsaturated else points
         saturation_throughput = max(
@@ -397,81 +414,6 @@ def run_sweep(
             saturated=first is not None,
             params=sweep.params_dict(),
         )
-
-
-def run_sweep_suite(
-    topologies: Sequence[Tuple[str, Topology, Optional[Dict[int, int]]]],
-    patterns: Sequence[str],
-    sweep: Optional[SweepConfig] = None,
-    config: Optional[SimConfig] = None,
-    jobs: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
-    progress: Optional[ProgressCallback] = None,
-    obs: Optional[Observability] = None,
-    label: str = "sweep-suite",
-    strict_patterns: bool = False,
-) -> SweepResult:
-    """Sweep every pattern over every ``(label, topology, link_delays)``.
-
-    The *entire* grid's initial rate points — every (topology, pattern)
-    pair times every initial rate — fan out through **one**
-    :func:`~repro.eval.parallel.run_cells` call, so a worker pool sees
-    the whole suite at once instead of one pair's handful of cells
-    between barriers (per-pair sweeps stall the pool on each pair's
-    slowest cell; the batch keeps every worker busy until the grid is
-    done).  Bisection refinements then run per pair, in-process,
-    against the already-measured initial points (and the shared result
-    cache, when one is given).  Curves are byte-identical to running
-    :func:`run_sweep` per pair — same cells, same rounding, same
-    detection — which the determinism suite pins.
-    """
-    sweep = sweep or SweepConfig()
-    config = config or SimConfig()
-    obs = obs if obs is not None else DISABLED
-    rates = _initial_rates(sweep)
-    # Canonicalize and validate every pair up front, in the
-    # coordinator, so a bad spec fails before any cell runs.
-    pairs = []
-    for top_label, topology, link_delays in topologies:
-        for pattern in patterns:
-            spec = canonical_spec(pattern)
-            resolve_pattern(spec, topology=topology, strict=strict_patterns)
-            pairs.append((top_label, topology, link_delays, spec))
-
-    cells = [
-        _make_cell(top_label, topology, spec, rate, sweep, config, link_delays)
-        for top_label, topology, link_delays, spec in pairs
-        for rate in rates
-    ]
-    outcomes = run_cells(cells, jobs=jobs, cache=cache, progress=progress, obs=obs)
-    obs.metrics.counter("sweep.cells").inc(len(outcomes))
-
-    curves = []
-    for i, (top_label, topology, link_delays, spec) in enumerate(pairs):
-        pair_outcomes = outcomes[i * len(rates) : (i + 1) * len(rates)]
-        premeasured = {
-            rate: loadpoint_from_dict(outcome.payload)
-            for rate, outcome in zip(rates, pair_outcomes)
-        }
-        curve = run_sweep(
-            topology,
-            spec,
-            sweep=sweep,
-            config=config,
-            link_delays=link_delays,
-            # Refinements measure one cell at a time; a worker pool
-            # would add pure spawn overhead, and serial == parallel
-            # byte identity makes the in-process path equivalent.
-            jobs=None,
-            cache=cache,
-            progress=progress,
-            obs=obs,
-            label=top_label,
-            strict_patterns=strict_patterns,
-            premeasured=premeasured,
-        )
-        curves.append((top_label, curve.pattern, curve))
-    return SweepResult(label=label, curves=tuple(curves))
 
 
 # ---------------------------------------------------------------------------

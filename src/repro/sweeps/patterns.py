@@ -16,17 +16,17 @@ Pattern contract
 A pattern is ``pattern(src, n, rng) -> dest`` with ``dest != src``.
 The open-loop injector resamples a self draw (bounded); a pattern that
 still returns the source raises :class:`~repro.errors.SimulationError`
-naming the node, since that node could never inject.  Deterministic
-patterns with fixed points therefore *fall back to uniform random* on a
-self-map — the offered load is preserved and the behaviour is explicit:
+naming the node, since that node could never inject.  Structured
+patterns therefore map their fixed points (the transpose diagonal,
+the all-ones shuffle cycle, …) to uniform random draws, which
+preserves the offered load.
 
-* ``transpose`` needs a square node count, the ``bit_*`` and
-  ``shuffle`` permutations need a power of two.  On an incompatible
-  ``n`` the pattern warns **once** per (pattern, n) and degrades to
-  uniform random; resolving with ``strict=True`` raises
-  :class:`~repro.errors.SimulationError` instead.
-* Structured patterns map their fixed points (the transpose diagonal,
-  bit-complement's middle, …) to uniform random draws.
+``transpose`` needs a square node count, the ``bit_*`` and ``shuffle``
+permutations need a power of two.  On an incompatible ``n`` both the
+pattern and :func:`resolve_pattern` raise
+:class:`~repro.errors.SimulationError` naming the spec, ``n`` and the
+nearest valid sizes; no pattern ever runs other traffic under its own
+label.
 
 All patterns are seed-deterministic: destinations depend only on
 ``(src, n)`` and the draws they take from the supplied ``rng``.
@@ -45,18 +45,14 @@ busiest channel of the given routing function.
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.simulator.openloop import DestinationPattern, uniform_random
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.topology.builders import Topology
-
-# (pattern name, n) pairs that already warned about a fallback.
-_WARNED: Set[Tuple[str, int]] = set()
 
 # requirement key -> human description of the node-count constraint.
 _REQUIREMENT_TEXT = {
@@ -65,67 +61,26 @@ _REQUIREMENT_TEXT = {
 }
 
 
-def _nearest_valid_sizes(requirement: str, n: int) -> Tuple[int, int]:
-    """The valid node counts bracketing ``n`` for a size requirement."""
+def _check_size(name: str, requirement: str, n: int) -> None:
+    """Raise :class:`SimulationError` unless ``n`` meets a size requirement.
+
+    The message names the pattern spec, ``n`` and the valid node counts
+    bracketing it.  The patterns run their own cheap test on every draw
+    and call this only when it fails.
+    """
     if requirement == "square":
         side = int(n ** 0.5)
-        below = max(1, side) ** 2
-        above = (side + 1) ** 2
-    elif requirement == "pow2":
-        below = 1 << max(0, n.bit_length() - 1)
-        above = 1 << n.bit_length()
-    else:  # pragma: no cover - requirement keys are closed
-        raise SimulationError(f"unknown size requirement {requirement!r}")
-    return (below, above)
-
-
-def _size_violation(name: str, requirement: str, n: int) -> str:
-    """'pattern spec X requires ... got n=..., nearest valid sizes ...'."""
-    below, above = _nearest_valid_sizes(requirement, n)
-    return (
+        if side * side == n:
+            return
+        below, above = max(1, side) ** 2, (side + 1) ** 2
+    else:
+        if n > 0 and not n & (n - 1):
+            return
+        below, above = 1 << max(0, n.bit_length() - 1), 1 << n.bit_length()
+    raise SimulationError(
         f"pattern spec {name!r} requires {_REQUIREMENT_TEXT[requirement]} "
         f"but got n={n} (nearest valid sizes: {below} and {above})"
     )
-
-
-def _fallback(name: str, requirement: str, n: int) -> None:
-    """Warn once per (pattern, n) that the pattern degrades to uniform."""
-    if (name, n) in _WARNED:
-        return
-    _WARNED.add((name, n))
-    warnings.warn(
-        f"{_size_violation(name, requirement, n)}; "
-        f"falling back to uniform random (resolve with strict=True to "
-        f"raise instead)",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-
-
-def reset_fallback_warnings() -> None:
-    """Forget which (pattern, n) fallbacks already warned (test hook)."""
-    _WARNED.clear()
-
-
-def is_square(n: int) -> bool:
-    side = int(n ** 0.5)
-    return side * side == n
-
-
-def is_power_of_two(n: int) -> bool:
-    return n > 0 and (n & (n - 1)) == 0
-
-
-def require_square(name: str, n: int) -> None:
-    """Raise :class:`SimulationError` unless ``n`` is a perfect square."""
-    if not is_square(n):
-        raise SimulationError(_size_violation(name, "square", n))
-
-
-def require_power_of_two(name: str, n: int) -> None:
-    """Raise :class:`SimulationError` unless ``n`` is a power of two."""
-    if not is_power_of_two(n):
-        raise SimulationError(_size_violation(name, "pow2", n))
 
 
 # ---------------------------------------------------------------------------
@@ -153,13 +108,11 @@ def transpose_pattern(src: int, n: int, rng: random.Random) -> int:
     """Matrix-transpose destination on a square grid.
 
     Diagonal nodes (self maps) draw uniformly; a non-square ``n``
-    degrades to uniform random with a one-time warning (strict
-    resolution raises instead — see the module docstring).
+    raises (see the module docstring).
     """
     side = int(n ** 0.5)
     if side * side != n:
-        _fallback("transpose", "square", n)
-        return uniform_random(src, n, rng)
+        _check_size("transpose", "square", n)
     dest = (src % side) * side + src // side
     if dest == src:
         return uniform_random(src, n, rng)
@@ -168,9 +121,8 @@ def transpose_pattern(src: int, n: int, rng: random.Random) -> int:
 
 def bit_complement_pattern(src: int, n: int, rng: random.Random) -> int:
     """Bitwise complement within ``log2(n)`` bits."""
-    if not is_power_of_two(n):
-        _fallback("bit_complement", "pow2", n)
-        return uniform_random(src, n, rng)
+    if n < 1 or n & (n - 1):
+        _check_size("bit_complement", "pow2", n)
     dest = src ^ (n - 1)
     if dest == src:  # n == 1 only
         return uniform_random(src, n, rng)
@@ -179,9 +131,8 @@ def bit_complement_pattern(src: int, n: int, rng: random.Random) -> int:
 
 def bit_reverse_pattern(src: int, n: int, rng: random.Random) -> int:
     """Reverse the ``log2(n)``-bit address (palindromes draw uniformly)."""
-    if not is_power_of_two(n):
-        _fallback("bit_reverse", "pow2", n)
-        return uniform_random(src, n, rng)
+    if n < 1 or n & (n - 1):
+        _check_size("bit_reverse", "pow2", n)
     bits = n.bit_length() - 1
     dest = 0
     for i in range(bits):
@@ -194,9 +145,8 @@ def bit_reverse_pattern(src: int, n: int, rng: random.Random) -> int:
 
 def bit_rotation_pattern(src: int, n: int, rng: random.Random) -> int:
     """Rotate the address right by one bit (unshuffle)."""
-    if not is_power_of_two(n):
-        _fallback("bit_rotation", "pow2", n)
-        return uniform_random(src, n, rng)
+    if n < 1 or n & (n - 1):
+        _check_size("bit_rotation", "pow2", n)
     bits = n.bit_length() - 1
     if bits == 0:
         return uniform_random(src, n, rng)
@@ -208,9 +158,8 @@ def bit_rotation_pattern(src: int, n: int, rng: random.Random) -> int:
 
 def shuffle_pattern(src: int, n: int, rng: random.Random) -> int:
     """Perfect shuffle: rotate the address left by one bit."""
-    if not is_power_of_two(n):
-        _fallback("shuffle", "pow2", n)
-        return uniform_random(src, n, rng)
+    if n < 1 or n & (n - 1):
+        _check_size("shuffle", "pow2", n)
     bits = n.bit_length() - 1
     if bits == 0:
         return uniform_random(src, n, rng)
@@ -310,8 +259,8 @@ class PatternEntry:
     """One registered pattern family.
 
     ``factory(params, topology)`` builds the callable; ``requires``
-    names a node-count requirement checked at strict resolve time
-    (``"square"`` or ``"pow2"``); ``needs_topology`` marks
+    names a node-count requirement checked whenever the node count is
+    known at resolve time (``"square"`` or ``"pow2"``); ``needs_topology`` marks
     routing-aware patterns that cannot resolve without one.
     """
 
@@ -335,6 +284,11 @@ def register_pattern(
     """Register (or replace) a pattern family under ``name``."""
     if ":" in name:
         raise SimulationError(f"pattern name {name!r} may not contain ':'")
+    if requires is not None and requires not in _REQUIREMENT_TEXT:
+        raise SimulationError(
+            f"unknown size requirement {requires!r}; "
+            f"choose from {tuple(_REQUIREMENT_TEXT)}"
+        )
     _REGISTRY[name] = PatternEntry(
         name=name,
         factory=factory,
@@ -380,19 +334,16 @@ def resolve_pattern(
     spec: str,
     n: Optional[int] = None,
     topology: Optional["Topology"] = None,
-    strict: bool = False,
 ) -> DestinationPattern:
     """Turn a pattern spec into a destination callable.
 
     Args:
         spec: ``name`` or ``name:arg1:arg2`` (see :func:`pattern_names`).
-        n: node count, when known — required for ``strict`` checking of
-            size requirements and for validating hotspot node ids.
+        n: node count, when known — checked against the pattern's
+            node-count requirement (a violation raises
+            :class:`SimulationError`) and against hotspot node ids.
         topology: required by routing-aware patterns (``adversarial``);
             also supplies ``n`` when not given explicitly.
-        strict: raise :class:`SimulationError` when ``n`` violates the
-            pattern's node-count requirement instead of warning once and
-            degrading to uniform random.
     """
     name, params = _parse_spec(spec)
     entry = _REGISTRY[name]
@@ -402,11 +353,8 @@ def resolve_pattern(
         raise SimulationError(
             f"pattern {name!r} is routing-aware and needs a topology to resolve"
         )
-    if strict and n is not None and entry.requires is not None:
-        if entry.requires == "square":
-            require_square(name, n)
-        elif entry.requires == "pow2":
-            require_power_of_two(name, n)
+    if n is not None and entry.requires is not None:
+        _check_size(name, entry.requires, n)
     pattern = entry.factory(params, topology)
     if name == "hotspot" and n is not None:
         node, _ = _hotspot_params(params)

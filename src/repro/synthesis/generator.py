@@ -231,12 +231,13 @@ def _materialize(
         pipe_links[frozenset((switch_map[u], switch_map[v]))] = ids
 
     # Traffic-free links planned by the partitioner to keep the system
-    # strongly connected (already accounted in its degree budget).
+    # strongly connected (already accounted in its degree budget).  The
+    # plan is the only owner of Definition 1 connectivity: should it
+    # ever fall short, FallbackRouting's ShortestPathRouting validates
+    # the network below and raises.
     for u, v in result.connectivity_links:
         link = net.add_link(switch_map[u], switch_map[v])
         pipe_links.setdefault(frozenset((switch_map[u], switch_map[v])), (link,))
-
-    _ensure_connected(net, pipe_links)
 
     routes = []
     for comm in state.comms:
@@ -277,41 +278,3 @@ def _materialize(
         ),
         result=result,
     )
-
-
-def _ensure_connected(
-    net: Network, pipe_links: Dict[FrozenSet[int], Tuple[int, ...]]
-) -> None:
-    """Join disconnected components with single links.
-
-    A pattern whose processor groups never talk to each other can leave
-    the generated switch graph disconnected; Definition 1 requires a
-    strongly-connected system, so one link joins each extra component
-    (attached at the lowest-degree switches to disturb the constraint
-    budget least).
-    """
-    components = _components(net)
-    while len(components) > 1:
-        a = min(components[0], key=net.degree)
-        b = min(components[1], key=net.degree)
-        link = net.add_link(a, b)
-        pipe_links.setdefault(frozenset((a, b)), (link,))
-        components = _components(net)
-
-
-def _components(net: Network) -> List[List[int]]:
-    remaining = set(net.switches)
-    out: List[List[int]] = []
-    while remaining:
-        start = min(remaining)
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            s = frontier.pop()
-            for n in net.neighbors(s):
-                if n not in seen:
-                    seen.add(n)
-                    frontier.append(n)
-        out.append(sorted(seen))
-        remaining -= seen
-    return out

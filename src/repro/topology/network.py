@@ -194,21 +194,27 @@ class Network:
         """Largest port count over all switches."""
         return max(self.degree(s) for s in self._switch_procs)
 
-    def is_connected(self) -> bool:
-        """Whether the switch graph is connected (full-duplex links make
-        connectivity equivalent to strong connectivity)."""
-        switches = self.switches
-        if not switches:
-            return False
-        seen = {switches[0]}
-        frontier = [switches[0]]
+    def reachable_switches(self) -> Set[int]:
+        """The switches reachable over links from the lowest-id switch
+        (empty when the network has no switches)."""
+        if not self._switch_procs:
+            return set()
+        start = min(self._switch_procs)
+        seen = {start}
+        frontier = [start]
         while frontier:
-            s = frontier.pop()
-            for n in self._adj[s]:
+            for n in self._adj[frontier.pop()]:
                 if n not in seen:
                     seen.add(n)
                     frontier.append(n)
-        return len(seen) == len(switches)
+        return seen
+
+    def is_connected(self) -> bool:
+        """Whether the switch graph is connected (full-duplex links make
+        connectivity equivalent to strong connectivity)."""
+        return bool(self._switch_procs) and len(self.reachable_switches()) == len(
+            self._switch_procs
+        )
 
     def validate(self) -> None:
         """Check the network is a usable system graph.

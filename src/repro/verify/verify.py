@@ -106,7 +106,7 @@ def cycle_to_dict(cycle: CycleWitness) -> Dict:
 
 
 def _check_connectivity(network) -> Finding:
-    reachable = _reachable_switches(network)
+    reachable = network.reachable_switches()
     unreached = sorted(set(network.switches) - reachable)
     if not unreached:
         return Finding(
@@ -123,20 +123,6 @@ def _check_connectivity(network) -> Finding:
         details={"num_switches": network.num_switches},
         witness={"unreachable_switches": unreached},
     )
-
-
-def _reachable_switches(network) -> set:
-    switches = network.switches
-    if not switches:
-        return set()
-    seen = {switches[0]}
-    frontier = [switches[0]]
-    while frontier:
-        for n in network.neighbors(frontier.pop()):
-            if n not in seen:
-                seen.add(n)
-                frontier.append(n)
-    return seen
 
 
 def _check_degree(network, max_degree: Optional[int]) -> Finding:

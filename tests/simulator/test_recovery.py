@@ -73,21 +73,27 @@ class TestVictimSelection:
     def test_youngest_stuck_packet_is_killed(self):
         engine, _ = _engine(deadlock_threshold=50)
         _block_ejection(engine, 1)
-        old = engine.submit(source=0, dest=1, size_bytes=4, inject_cycle=0, seq=0)
-        young = engine.submit(source=0, dest=1, size_bytes=4, inject_cycle=5, seq=1)
+        old = engine._packets[
+            engine.submit(source=0, dest=1, size_bytes=4, inject_cycle=0, seq=0)
+        ]
+        young = engine._packets[
+            engine.submit(source=0, dest=1, size_bytes=4, inject_cycle=5, seq=1)
+        ]
         _step_until(engine, lambda: engine.deadlocks_detected > 0)
-        assert engine._packets[young].killed
-        assert not engine._packets[old].killed
+        assert young.killed
+        assert not old.killed
 
 
 class TestRetransmission:
     def test_replacement_keeps_identity_and_backs_off(self):
         engine, config = _engine(deadlock_threshold=50)
         _block_ejection(engine, 1)
-        victim_id = engine.submit(source=0, dest=1, size_bytes=40, inject_cycle=0, seq=7)
+        victim = engine._packets[
+            engine.submit(source=0, dest=1, size_bytes=40, inject_cycle=0, seq=7)
+        ]
         t = _step_until(engine, lambda: engine.deadlocks_detected > 0)
-        victim = engine._packets[victim_id]
         replacement = engine._packets[max(engine._packets)]
+        assert victim.killed
         assert replacement.packet_id != victim.packet_id
         assert (replacement.source, replacement.dest, replacement.seq) == (0, 1, 7)
         assert replacement.num_flits == victim.num_flits
@@ -124,3 +130,23 @@ class TestRetransmission:
             if not p.killed and not p.delivered
         ]
         assert len(live) == 1
+
+    def test_registry_holds_only_live_packets(self):
+        """Delivered and killed packets leave the engine's registry, so
+        a run that keeps recovering scans and keeps only what is live."""
+        engine, _ = _engine(deadlock_threshold=50)
+        _block_ejection(engine, 1)
+        submitted = 2
+        for seq in range(submitted):
+            engine.submit(source=0, dest=1, size_bytes=4, inject_cycle=seq, seq=seq)
+        _step_until(engine, lambda: engine.deadlocks_detected >= 20, limit=50_000)
+        live = (
+            submitted
+            + engine.retransmissions
+            - engine.delivered_packets
+            - engine.deadlocks_detected
+            - engine.fault_packet_kills
+        )
+        assert live == submitted
+        assert len(engine._packets) == live
+        assert not any(p.killed or p.delivered for p in engine._packets.values())

@@ -198,17 +198,19 @@ class TestCriterion:
             _pt(0.6, 0.58, 18.0, p99=320),  # mean < 4x base, p99 >> 4x
         ]
         assert detect_saturation(points) is None
-        assert detect_saturation(points, criterion="p99-knee") == 1
+        assert detect_saturation(points, SweepConfig(criterion="p99-knee")) == 1
 
     def test_latency_reference_uses_criterion(self):
         points = [_pt(0.1, 0.1, 10.0, p99=22), _pt(0.5, 0.5, 30.0, p99=90)]
         assert latency_reference(points) == 10.0
-        assert latency_reference(points, criterion="p99-knee") == 22.0
+        assert latency_reference(points, SweepConfig(criterion="p99-knee")) == 22.0
 
     def test_point_is_saturated_uses_criterion(self):
         point = _pt(0.5, 0.5, 60.0, p99=300)
         assert not point_is_saturated(point, base_latency=20.0)
-        assert point_is_saturated(point, base_latency=20.0, criterion="p99-knee")
+        assert point_is_saturated(
+            point, base_latency=20.0, sweep=SweepConfig(criterion="p99-knee")
+        )
 
     def test_sweep_records_criterion_in_artifact(self):
         fast_p99 = SweepConfig(
@@ -266,7 +268,11 @@ class TestRunSweep:
 
     def test_strict_pattern_violation_fails_before_any_cell(self):
         with pytest.raises(SimulationError, match="requires"):
-            run_sweep(mesh(4, 2), "transpose", sweep=FAST, strict_patterns=True)
+            run_sweep(mesh(4, 2), "transpose", sweep=FAST)
+
+    def test_non_strict_resolution_is_rejected(self):
+        with pytest.raises(SimulationError, match="always strict"):
+            run_sweep(mesh(2, 2), "uniform", sweep=FAST, strict_patterns=False)
 
     def test_unknown_pattern_fails_fast(self):
         with pytest.raises(SimulationError, match="unknown pattern"):
@@ -292,10 +298,7 @@ class TestRunSweep:
         assert curve.saturation_rate < sweep.min_rate
         flits = 32 // 8 + 1  # SimConfig default: 8-byte flits + header
         payload_fraction = (flits - 1) / flits
-        first = detect_saturation(
-            curve.points, sweep.latency_factor, sweep.plateau_fraction,
-            payload_fraction,
-        )
+        first = detect_saturation(curve.points, sweep, payload_fraction)
         assert first is not None
         # The final pass and the bisection bracket must agree: the
         # saturation estimate sits between the last unsaturated and the
@@ -363,22 +366,6 @@ class TestRunSweep:
         tops = [("mesh", mesh(2, 2), None)]
         with pytest.raises(SimulationError, match="unknown pattern"):
             run_sweep_suite(tops, ["uniform", "nope"], sweep=FAST)
-
-    def test_premeasured_initial_grid_reproduces_the_solo_sweep(self):
-        """A sweep seeded with the initial grid's points skips their
-        cells and still refines to a byte-identical curve."""
-        solo = run_sweep(mesh(2, 2), "uniform", sweep=FAST)
-        initial = set(_initial_rates(FAST))
-        premeasured = {
-            p.offered_flits_per_node_cycle: p
-            for p in solo.points
-            if p.offered_flits_per_node_cycle in initial
-        }
-        assert len(premeasured) == len(initial)
-        seeded = run_sweep(
-            mesh(2, 2), "uniform", sweep=FAST, premeasured=premeasured
-        )
-        assert seeded.to_json() == solo.to_json()
 
 
 class TestSpareLinkVariant:

@@ -1,11 +1,11 @@
 """Tests for the synthetic traffic suite and its registry."""
 
 import random
-import warnings
 
 import pytest
 
 from repro.errors import SimulationError
+from repro.sweeps.driver import run_sweep, run_sweep_suite
 from repro.sweeps.patterns import (
     adversarial_pattern,
     adversarial_permutation,
@@ -18,20 +18,12 @@ from repro.sweeps.patterns import (
     pattern_entries,
     pattern_names,
     register_pattern,
-    reset_fallback_warnings,
     resolve_pattern,
     shuffle_pattern,
     tornado_pattern,
     transpose_pattern,
 )
 from repro.topology import mesh, torus
-
-
-@pytest.fixture(autouse=True)
-def _fresh_warnings():
-    reset_fallback_warnings()
-    yield
-    reset_fallback_warnings()
 
 
 class TestRegistry:
@@ -122,23 +114,27 @@ class TestHotspotSpec:
         assert all(fn(3, 8, rng) != 3 for _ in range(100))
 
 
+def _draw(fn):
+    return lambda progress: fn(0, 12, random.Random(0))
+
+
 class TestSizeRequirements:
-    """Satellite audit: incompatible sizes must either raise (strict)
-    or warn exactly once and degrade to uniform (default)."""
+    """An incompatible node count raises at every entry point; no
+    pattern ever runs other traffic under its own label."""
 
     @pytest.mark.parametrize(
         "spec", ["transpose", "bit_complement", "bit_reverse", "bit_rotation", "shuffle"]
     )
     def test_strict_resolve_raises_on_bad_size(self, spec):
         with pytest.raises(SimulationError, match="requires"):
-            resolve_pattern(spec, n=12, strict=True)
+            resolve_pattern(spec, n=12)
 
     @pytest.mark.parametrize(
         "spec", ["transpose", "bit_complement", "bit_reverse", "bit_rotation", "shuffle"]
     )
     def test_strict_resolve_names_the_violating_pattern(self, spec):
         with pytest.raises(SimulationError, match=f"pattern spec '{spec}'"):
-            resolve_pattern(spec, n=12, strict=True)
+            resolve_pattern(spec, n=12)
 
     @pytest.mark.parametrize(
         "spec,n,sizes",
@@ -146,7 +142,7 @@ class TestSizeRequirements:
     )
     def test_strict_error_reports_nearest_valid_sizes(self, spec, n, sizes):
         with pytest.raises(SimulationError) as excinfo:
-            resolve_pattern(spec, n=n, strict=True)
+            resolve_pattern(spec, n=n)
         message = str(excinfo.value)
         assert f"n={n}" in message
         assert f"nearest valid sizes: {sizes}" in message
@@ -155,47 +151,48 @@ class TestSizeRequirements:
         "spec,good_n", [("transpose", 16), ("bit_reverse", 16), ("shuffle", 8)]
     )
     def test_strict_resolve_accepts_good_size(self, spec, good_n):
-        assert callable(resolve_pattern(spec, n=good_n, strict=True))
+        assert callable(resolve_pattern(spec, n=good_n))
 
     @pytest.mark.parametrize(
-        "fn,name",
+        "call,spec,n,sizes",
         [
-            (transpose_pattern, "transpose"),
-            (bit_complement_pattern, "bit_complement"),
-            (bit_reverse_pattern, "bit_reverse"),
-            (bit_rotation_pattern, "bit_rotation"),
-            (shuffle_pattern, "shuffle"),
+            pytest.param(_draw(transpose_pattern), "transpose", 12, "9 and 16",
+                         id="transpose_pattern"),
+            pytest.param(_draw(bit_complement_pattern), "bit_complement", 12,
+                         "8 and 16", id="bit_complement_pattern"),
+            pytest.param(_draw(bit_reverse_pattern), "bit_reverse", 12, "8 and 16",
+                         id="bit_reverse_pattern"),
+            pytest.param(_draw(bit_rotation_pattern), "bit_rotation", 12, "8 and 16",
+                         id="bit_rotation_pattern"),
+            pytest.param(_draw(shuffle_pattern), "shuffle", 12, "8 and 16",
+                         id="shuffle_pattern"),
+            pytest.param(lambda progress: resolve_pattern("transpose", n=12),
+                         "transpose", 12, "9 and 16", id="resolve_pattern"),
+            pytest.param(
+                lambda progress: run_sweep(mesh(4, 2), "transpose", progress=progress),
+                "transpose", 8, "4 and 9", id="run_sweep",
+            ),
+            pytest.param(
+                lambda progress: run_sweep_suite(
+                    [("mesh", mesh(4, 2), None)], ["transpose"], progress=progress
+                ),
+                "transpose", 8, "4 and 9", id="run_sweep_suite",
+            ),
         ],
     )
-    def test_default_fallback_warns_once_per_size(self, fn, name):
-        rng = random.Random(0)
-        with pytest.warns(RuntimeWarning, match=name):
-            dest = fn(0, 12, rng)
-        assert 0 <= dest < 12 and dest != 0
-        # Second call with the same (pattern, n): silent fallback.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            fn(1, 12, rng)
-        # A different n warns again.
-        with pytest.warns(RuntimeWarning, match=name):
-            fn(0, 6, rng)
-
-    @pytest.mark.parametrize(
-        "fn,name,sizes",
-        [
-            (transpose_pattern, "transpose", "9 and 16"),
-            (bit_reverse_pattern, "bit_reverse", "8 and 16"),
-        ],
-    )
-    def test_fallback_warning_reports_spec_and_required_sizes(self, fn, name, sizes):
-        rng = random.Random(0)
-        with pytest.warns(RuntimeWarning) as record:
-            fn(0, 12, rng)
-        message = str(record[0].message)
-        assert f"pattern spec '{name}'" in message
-        assert "n=12" in message
+    def test_bad_size_raises(self, call, spec, n, sizes):
+        fired = []
+        with pytest.raises(SimulationError) as excinfo:
+            call(lambda *args: fired.append(args))
+        message = str(excinfo.value)
+        assert f"pattern spec '{spec}'" in message
+        assert f"n={n}" in message
         assert f"nearest valid sizes: {sizes}" in message
-        assert "falling back to uniform random" in message
+        assert not fired  # no cell ran
+
+    def test_register_rejects_unknown_requirement(self):
+        with pytest.raises(SimulationError, match="size requirement"):
+            register_pattern("cube", lambda params, topology: None, requires="cube")
 
 
 class TestStructuredPatterns:

@@ -236,7 +236,6 @@ class TestSweepCommand:
         assert args.topology == "mesh"
         assert args.nodes == 16
         assert args.points == 6 and args.refine == 4
-        assert not args.strict_patterns
 
     def test_list_patterns(self, capsys):
         rc = main(["sweep", "--list-patterns"])
@@ -303,10 +302,11 @@ class TestSweepCommand:
         assert root.tag.endswith("svg")
 
     def test_strict_pattern_violation_is_clean_error(self, capsys):
-        rc = main(self.FAST + ["--pattern", "transpose", "--strict-patterns"])
+        rc = main(self.FAST + ["--pattern", "transpose"])
         err = capsys.readouterr().err
         assert rc == 1
-        assert "requires" in err
+        assert "pattern spec 'transpose' requires" in err
+        assert "n=8" in err and "nearest valid sizes: 4 and 9" in err
 
     def test_unknown_pattern_is_clean_error(self, capsys):
         rc = main(self.FAST + ["--pattern", "bogus"])
