@@ -22,8 +22,13 @@ determines its result:
   the adaptive policy name for the torus),
 * the :class:`~repro.simulator.config.SimConfig`,
 * per-link delays and the fault scenario, when present,
-* a code version tag (:data:`CACHE_VERSION`) — bumping the package
+* a code version tag (:func:`code_version_tag`) — bumping the package
   version or the cache schema invalidates every entry.
+
+Each member is encoded on its own and spliced into the key by
+:func:`cell_key`; inside a :func:`key_fragments` block the members a
+batch shares (programs, topologies, patterns, configs) are encoded once
+per batch rather than once per cell.
 
 Cache layout (under ``.repro-cache/`` by default)::
 
@@ -42,6 +47,7 @@ with golden fixtures.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -49,20 +55,26 @@ import pickle
 import sys
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
+    Any,
     Callable,
     ClassVar,
     Dict,
     FrozenSet,
-    Iterable,
+    Iterator,
     List,
     Mapping,
     Optional,
     Sequence,
+    Tuple,
+    TypeVar,
     Union,
+    cast,
 )
 
 from repro.errors import ReproError
@@ -186,8 +198,10 @@ class ResultCache:
         """The cached :class:`~repro.eval.runner.BenchmarkSetup`, or ``None``.
 
         A torn or unreadable pickle (including one from a newer pickle
-        protocol) or a pickle of anything but a setup is corrupt: it is
-        dropped and reads as a miss, like a non-object JSON result.
+        protocol, and corrupt bytes that make the unpickler raise
+        ``TypeError``, ``OverflowError`` or ``MemoryError``) or a pickle
+        of anything but a setup is corrupt: it is dropped and reads as a
+        miss, like a non-object JSON result.
         """
         from repro.eval.runner import BenchmarkSetup
 
@@ -204,6 +218,9 @@ class ResultCache:
             EOFError,
             AttributeError,
             ImportError,
+            TypeError,
+            OverflowError,
+            MemoryError,
         ):
             setup = None
         if isinstance(setup, BenchmarkSetup):
@@ -305,11 +322,62 @@ class ResultCache:
 
 
 # ---------------------------------------------------------------------------
-# Cache-key fingerprints
+# Cache-key fragments
 # ---------------------------------------------------------------------------
 
+# A key is composed of fragments: the canonical JSON text of each of its
+# members.  Inside a key_fragments() block each shared fragment is built
+# once: the memo maps a builder and the id() of each of its arguments to
+# (arguments, fragment), and holding the arguments keeps every id in a
+# memo key unique while the memo lives.
+_Memo = Dict[tuple, Tuple[tuple, Any]]
+_FRAGMENTS: ContextVar[Optional[_Memo]] = ContextVar("key_fragments", default=None)
 
-def _program_fingerprint(program: Program) -> dict:
+_Builder = TypeVar("_Builder", bound=Callable[..., Any])
+
+
+@contextmanager
+def key_fragments() -> Iterator[None]:
+    """Build each shared key fragment once for every ``key()`` in the block.
+
+    The cells of a batch share programs, topologies, patterns and
+    configs; inside the block each is fingerprinted once, however many
+    cells carry it.  Keys are byte-identical either way, and outside any
+    block ``key()`` builds every fragment itself.  A nested block reuses
+    the outer memo.  The memo ends with the outermost block and is never
+    stored on an object: topologies and networks are mutable, so a
+    fragment kept past its batch could give a changed object a stale key.
+    """
+    if _FRAGMENTS.get() is not None:
+        yield
+        return
+    token = _FRAGMENTS.set({})
+    try:
+        yield
+    finally:
+        _FRAGMENTS.reset(token)
+
+
+def _per_batch(build: _Builder) -> _Builder:
+    """Memoize ``build`` on the identity of its (positional) arguments
+    inside a :func:`key_fragments` block."""
+
+    @functools.wraps(build)
+    def fragment(*args: Any) -> Any:
+        memo = _FRAGMENTS.get()
+        if memo is None:
+            return build(*args)
+        key = (build, *map(id, args))
+        hit = memo.get(key)
+        if hit is None:
+            hit = memo[key] = (args, build(*args))
+        return hit[1]
+
+    return cast(_Builder, fragment)
+
+
+@_per_batch
+def _program_fingerprint(program: Program) -> str:
     """Full event-stream fingerprint (the trace plus compute timing)."""
     streams = []
     for stream in program.events:
@@ -322,43 +390,79 @@ def _program_fingerprint(program: Program) -> dict:
             else:
                 events.append(["c", event.cycles])
         streams.append(events)
-    return {
-        "name": program.name,
-        "num_processes": program.num_processes,
-        "events": streams,
-    }
+    return canonical_json(
+        {
+            "name": program.name,
+            "num_processes": program.num_processes,
+            "events": streams,
+        }
+    )
 
 
+@_per_batch
+def _program_pairs(program: Program) -> Tuple[Communication, ...]:
+    return program.communication_pairs()
+
+
+@_per_batch
 def _topology_fingerprint(
     topology: Topology,
-    pairs: Callable[[], Iterable[Communication]],
+    program: Optional[Program],
     link_delays: Optional[Dict[int, int]],
     adaptive: bool,
-) -> dict:
+) -> str:
     """The topology's graph, link delays and routing.
 
     An adaptive policy is fingerprinted by name; a deterministic one by
-    the concrete switch path and link ids of every pair ``pairs()``
-    yields (called only then): the program's pairs for a trace replay,
-    every pair for open-loop traffic.
+    the concrete switch path and link ids of every pair it routes: the
+    program's pairs for a trace replay, or every pair when ``program``
+    is ``None`` (open-loop traffic).
     """
     if adaptive:
         routing: dict = {"policy": "adaptive-minimal"}
     else:
+        pairs = (
+            _program_pairs(program)
+            if program is not None
+            else all_pairs(topology.network.num_processors)
+        )
         routes = {}
-        for comm in pairs():
+        for comm in pairs:
             r = topology.routing.route(comm)
             routes[f"{comm.source}->{comm.dest}"] = [list(r.switch_path), list(r.link_ids)]
         routing = {"policy": "source", "routes": routes}
-    return {
-        "name": topology.name,
-        "kind": topology.kind,
-        "graph": topology.network.describe(),
-        "routing": routing,
-        "link_delays": (
-            sorted(link_delays.items()) if link_delays is not None else None
-        ),
-    }
+    return canonical_json(
+        {
+            "name": topology.name,
+            "kind": topology.kind,
+            "graph": topology.network.describe(),
+            "routing": routing,
+            "link_delays": (
+                sorted(link_delays.items()) if link_delays is not None else None
+            ),
+        }
+    )
+
+
+@_per_batch
+def _pattern_fingerprint(pattern: CommunicationPattern) -> str:
+    """Full communication-pattern fingerprint (timing windows included —
+    they shape the contention cliques and therefore the design)."""
+    return canonical_json(
+        {
+            "name": pattern.name,
+            "num_processes": pattern.num_processes,
+            "messages": [
+                [m.source, m.dest, m.t_start, m.t_finish, m.size_bytes, m.tag]
+                for m in pattern.messages
+            ],
+        }
+    )
+
+
+@_per_batch
+def _config_fingerprint(config: SimConfig) -> str:
+    return canonical_json(config_to_dict(config))
 
 
 def _scenario_fingerprint(scenario: FaultScenario) -> dict:
@@ -374,22 +478,22 @@ def _scenario_fingerprint(scenario: FaultScenario) -> dict:
     return {"name": scenario.name, "faults": sorted(faults)}
 
 
-def cell_key(payload: dict) -> str:
-    """SHA-256 content key of a cell's canonical fingerprint payload."""
-    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+def _members(kind: str, **values: object) -> Dict[str, str]:
+    """Key members of plain JSON values, plus the version tag and the
+    cell kind that every key carries."""
+    values.update(version=code_version_tag(), kind=kind)
+    return {name: canonical_json(value) for name, value in values.items()}
 
 
-def _pattern_fingerprint(pattern: CommunicationPattern) -> dict:
-    """Full communication-pattern fingerprint (timing windows included —
-    they shape the contention cliques and therefore the design)."""
-    return {
-        "name": pattern.name,
-        "num_processes": pattern.num_processes,
-        "messages": [
-            [m.source, m.dest, m.t_start, m.t_finish, m.size_bytes, m.tag]
-            for m in pattern.messages
-        ],
-    }
+def cell_key(members: Mapping[str, str]) -> str:
+    """SHA-256 content key of a cell, from each member's canonical JSON.
+
+    Hashes ``{"name":text,...}`` in sorted name order: the bytes
+    :func:`canonical_json` gives the whole payload, so a fragment built
+    once per batch splices into every key byte-identically.
+    """
+    body = ",".join(f"{canonical_json(name)}:{members[name]}" for name in sorted(members))
+    return hashlib.sha256(("{" + body + "}").encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -422,16 +526,15 @@ class PerformanceCell:
     def key(self) -> str:
         return cell_key(
             {
-                "version": code_version_tag(),
-                "kind": "performance",
+                **_members("performance"),
                 "program": _program_fingerprint(self.program),
                 "topology": _topology_fingerprint(
                     self.topology,
-                    self.program.communication_pairs,
+                    self.program,
                     self.link_delays,
-                    adaptive=self.topology.kind == "torus",
+                    self.topology.kind == "torus",
                 ),
-                "config": config_to_dict(self.config),
+                "config": _config_fingerprint(self.config),
             }
         )
 
@@ -474,19 +577,18 @@ class ResilienceCell:
     def key(self) -> str:
         return cell_key(
             {
-                "version": code_version_tag(),
-                "kind": "resilience",
+                **_members(
+                    "resilience",
+                    scenario=(
+                        _scenario_fingerprint(self.scenario) if self.scenario else None
+                    ),
+                ),
                 "program": _program_fingerprint(self.program),
+                # adaptive=False: resilience runs source-route the torus too.
                 "topology": _topology_fingerprint(
-                    self.topology,
-                    self.program.communication_pairs,
-                    self.link_delays,
-                    adaptive=False,
+                    self.topology, self.program, self.link_delays, False
                 ),
-                "config": config_to_dict(self.config),
-                "scenario": (
-                    _scenario_fingerprint(self.scenario) if self.scenario else None
-                ),
+                "config": _config_fingerprint(self.config),
             }
         )
 
@@ -564,22 +666,20 @@ class OpenLoopCell:
     def key(self) -> str:
         return cell_key(
             {
-                "version": code_version_tag(),
-                "kind": "openloop",
-                "topology": _topology_fingerprint(
-                    self.topology,
-                    lambda: all_pairs(self.topology.network.num_processors),
-                    self.link_delays,
-                    adaptive=self.topology.kind == "torus",
+                **_members(
+                    "openloop",
+                    pattern=self.pattern,
+                    injection_rate=self.injection_rate,
+                    packet_bytes=self.packet_bytes,
+                    warmup_cycles=self.warmup_cycles,
+                    measure_cycles=self.measure_cycles,
+                    drain_cycles=self.drain_cycles,
+                    seed=self.seed,
                 ),
-                "pattern": self.pattern,
-                "injection_rate": self.injection_rate,
-                "packet_bytes": self.packet_bytes,
-                "warmup_cycles": self.warmup_cycles,
-                "measure_cycles": self.measure_cycles,
-                "drain_cycles": self.drain_cycles,
-                "seed": self.seed,
-                "config": config_to_dict(self.config),
+                "topology": _topology_fingerprint(
+                    self.topology, None, self.link_delays, self.topology.kind == "torus"
+                ),
+                "config": _config_fingerprint(self.config),
             }
         )
 
@@ -641,16 +741,17 @@ class SynthesisCell:
     def key(self) -> str:
         return cell_key(
             {
-                "version": code_version_tag(),
-                "kind": "synthesis",
+                **_members(
+                    "synthesis",
+                    constraints=(
+                        asdict(self.constraints) if self.constraints is not None else None
+                    ),
+                    seed=self.seed,
+                    schedule=(
+                        asdict(self.schedule) if self.schedule is not None else None
+                    ),
+                ),
                 "pattern": _pattern_fingerprint(self.pattern),
-                "constraints": (
-                    asdict(self.constraints) if self.constraints is not None else None
-                ),
-                "seed": self.seed,
-                "schedule": (
-                    asdict(self.schedule) if self.schedule is not None else None
-                ),
             }
         )
 
@@ -784,9 +885,13 @@ def run_cells(
     (``jobs<=0`` means every core).  Returns outcomes in cell order
     regardless of completion order, so callers build rows
     deterministically; ``progress`` fires once per cell as it resolves,
-    hits first.  A cached payload without the fields the cell's
-    ``payload_fields`` names is dropped and recomputed as a miss.  ``obs`` records cache hit/miss counters and one span
-    per cell (coordinator side only — payloads are never touched, so
+    hits first.  Cells are keyed inside one :func:`key_fragments` block,
+    so cells that share a program, topology, pattern or config
+    fingerprint it once.  A cached payload without the fields the
+    cell's ``payload_fields`` names is dropped and recomputed as a miss.
+
+    ``obs`` records cache hit/miss counters and one span per cell
+    (coordinator side only — payloads are never touched, so
     observability cannot perturb the determinism guarantee).
     """
     obs = obs if obs is not None else DISABLED
@@ -806,20 +911,21 @@ def run_cells(
             progress(outcome, done, total)
 
     misses: List[_Miss] = []
-    for i, cell in enumerate(cells):
-        started = time.perf_counter()
-        key = cell.key()
-        cached = cache.get_result(key) if cache is not None else None
-        if cached is not None and not payload_fits(cell, cached):
-            # A JSON object of another shape (another family's payload,
-            # a stale schema): drop it and recompute, as for a torn entry.
-            cache.drop_result(key)
-            cached = None
-        seconds = time.perf_counter() - started
-        if cached is None:
-            misses.append(_Miss(i, cell, key, seconds))
-        else:
-            finish(i, CellOutcome(cell.label, key, True, seconds, cached))
+    with key_fragments():
+        for i, cell in enumerate(cells):
+            started = time.perf_counter()
+            key = cell.key()
+            cached = cache.get_result(key) if cache is not None else None
+            if cached is not None and not payload_fits(cell, cached):
+                # A JSON object of another shape (another family's payload,
+                # a stale schema): drop it and recompute, as for a torn entry.
+                cache.drop_result(key)
+                cached = None
+            seconds = time.perf_counter() - started
+            if cached is None:
+                misses.append(_Miss(i, cell, key, seconds))
+            else:
+                finish(i, CellOutcome(cell.label, key, True, seconds, cached))
     if workers is None or len(misses) <= 1:
         for miss in misses:
             finish(
@@ -856,19 +962,19 @@ class SetupTask:
 
     def key(self) -> str:
         return cell_key(
-            {
-                "version": code_version_tag(),
-                "kind": "setup",
-                "benchmark": self.benchmark,
-                "n": self.n,
-                "seed": self.seed,
-                "restarts": self.restarts,
-            }
+            _members(
+                "setup",
+                benchmark=self.benchmark,
+                n=self.n,
+                seed=self.seed,
+                restarts=self.restarts,
+            )
         )
 
 
-def _build_setup(task: SetupTask, cache_root: Optional[str]):
-    """Build one setup (worker side), writing it through to the cache.
+def _build_setup(task: SetupTask, key: str, cache_root: Optional[str]):
+    """Build one setup (worker side), writing it through to the cache
+    under ``key``, the task's key as the coordinator computed it.
 
     Synthesis and placement are fully seeded, so rebuilding the same
     task in any process yields the identical setup (pinned by the
@@ -878,7 +984,7 @@ def _build_setup(task: SetupTask, cache_root: Optional[str]):
 
     setup = prepare(task.benchmark, task.n, seed=task.seed, restarts=task.restarts)
     if cache_root is not None:
-        ResultCache(cache_root).put_setup(task.key(), setup)
+        ResultCache(cache_root).put_setup(key, setup)
     return setup
 
 
@@ -890,23 +996,25 @@ def prepare_setups(
     """Prepare every setup of a grid, in parallel and through the cache."""
     cache_root = str(cache.root) if cache is not None else None
     setups: Dict[SetupTask, object] = {}
-    misses: List[SetupTask] = []
+    misses: Dict[SetupTask, str] = {}
     for task in tasks:
-        if task in setups:
+        if task in setups or task in misses:
             continue
-        cached = cache.get_setup(task.key()) if cache is not None else None
+        key = task.key()
+        cached = cache.get_setup(key) if cache is not None else None
         if cached is not None:
             setups[task] = cached
         else:
-            misses.append(task)
+            misses[task] = key
     workers = resolve_jobs(jobs)
     if workers is None or len(misses) <= 1:
-        for task in misses:
-            setups[task] = _build_setup(task, cache_root)
+        for task, key in misses.items():
+            setups[task] = _build_setup(task, key, cache_root)
     else:
         with ProcessPoolExecutor(max_workers=min(workers, len(misses))) as pool:
             futures = {
-                pool.submit(_build_setup, task, cache_root): task for task in misses
+                pool.submit(_build_setup, task, key, cache_root): task
+                for task, key in misses.items()
             }
             for fut, task in futures.items():
                 setups[task] = fut.result()

@@ -37,6 +37,7 @@ from repro.eval.parallel import (
     OpenLoopCell,
     ProgressCallback,
     ResultCache,
+    key_fragments,
     run_cells,
 )
 from repro.eval.serialize import loadpoint_from_dict
@@ -317,18 +318,20 @@ def run_sweep_suite(
             pairs.append((top_label, topology, link_delays, spec))
 
     cells = [_make_cell(pair, rate, sweep, config) for pair in pairs for rate in rates]
-    outcomes = run_cells(cells, jobs=jobs, cache=cache, progress=progress, obs=obs)
-    obs.metrics.counter("sweep.cells").inc(len(outcomes))
-
     curves = []
-    for i, pair in enumerate(pairs):
-        pair_outcomes = outcomes[i * len(rates) : (i + 1) * len(rates)]
-        measured = {
-            rate: loadpoint_from_dict(outcome.payload)
-            for rate, outcome in zip(rates, pair_outcomes)
-        }
-        curve = _refine(pair, measured, sweep, config, cache, progress, obs)
-        curves.append((pair[0], pair[3], curve))
+    # One batch of cell keys: each pair's topology is fingerprinted once
+    # for its initial grid and every refinement probe.
+    with key_fragments():
+        outcomes = run_cells(cells, jobs=jobs, cache=cache, progress=progress, obs=obs)
+        obs.metrics.counter("sweep.cells").inc(len(outcomes))
+        for i, pair in enumerate(pairs):
+            pair_outcomes = outcomes[i * len(rates) : (i + 1) * len(rates)]
+            measured = {
+                rate: loadpoint_from_dict(outcome.payload)
+                for rate, outcome in zip(rates, pair_outcomes)
+            }
+            curve = _refine(pair, measured, sweep, config, cache, progress, obs)
+            curves.append((pair[0], pair[3], curve))
     return SweepResult(label=label, curves=tuple(curves))
 
 

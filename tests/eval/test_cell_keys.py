@@ -1,14 +1,18 @@
-"""Pinned cache keys of the simulation cell families.
+"""Pinned cache keys of every cell family.
 
 A cell's key is its address in the result cache, so refactoring the
 fingerprint code must leave every key byte-identical: a moved key makes
 each cached payload unreachable, and a key that stops covering an input
-returns a payload computed for something else.  The pins cover each
-routing branch of the topology fingerprint: the torus replays as an
-adaptive policy name in :class:`PerformanceCell` and
+returns a payload computed for something else.  The pins cover all five
+families: :class:`PerformanceCell`, :class:`ResilienceCell`,
+:class:`OpenLoopCell`, :class:`SynthesisCell` and :class:`SetupTask`.
+They cover each routing branch of the topology fingerprint: the torus
+replays as an adaptive policy name in :class:`PerformanceCell` and
 :class:`OpenLoopCell` but as concrete source routes in
 :class:`ResilienceCell`, performance and resilience cells route the
-program's pairs, and open-loop cells route every pair.
+program's pairs, and open-loop cells route every pair.  The synthesis
+pins cover the pattern fingerprint with and without constraints and an
+anneal schedule.
 
 Every key includes ``code_version_tag()``.  Putting a digest of the
 ``repro`` sources into that tag (ROADMAP item 1) will move all of these
@@ -19,11 +23,19 @@ addresses and must say so.
 import pytest
 
 from repro.eval import prepare
-from repro.eval.parallel import OpenLoopCell, PerformanceCell, ResilienceCell
+from repro.eval.parallel import (
+    OpenLoopCell,
+    PerformanceCell,
+    ResilienceCell,
+    SetupTask,
+    SynthesisCell,
+)
 from repro.faults import FaultScenario, LinkFault
 from repro.simulator import SimConfig
+from repro.synthesis import AnnealSchedule, DesignConstraints
 from repro.topology import mesh, torus
 from repro.topology.builders import torus_link_delays
+from repro.workloads import benchmark
 
 
 @pytest.fixture(scope="module")
@@ -96,3 +108,28 @@ def test_openloop_cell_key_is_pinned(cg8, network, pattern, key):
         link_delays=delays,
     )
     assert cell.key() == key
+
+
+@pytest.mark.parametrize(
+    "options, key",
+    [
+        ({"seed": 0}, "8842e30a0c59bc93e83202f823d16184d14991e62d23962f001ecb2157ccacdb"),
+        (
+            {
+                "seed": 1,
+                "constraints": DesignConstraints(max_degree=8),
+                "schedule": AnnealSchedule(steps=50),
+            },
+            "d7cda99f8709c65c22f8fb262a252baf3446bd008463267e7ba5d129b741cfd9",
+        ),
+    ],
+    ids=["defaults", "constrained-annealed"],
+)
+def test_synthesis_cell_key_is_pinned(options, key):
+    cell = SynthesisCell(label="x", pattern=benchmark("cg", 8).pattern, **options)
+    assert cell.key() == key
+
+
+def test_setup_task_key_is_pinned():
+    key = "c635c9884cce238e1cb58c6bcda2ab4e7aa01424cd8752b7fce75860572f362f"
+    assert SetupTask("cg", 8, seed=0).key() == key

@@ -172,8 +172,18 @@ class TestCacheKeys:
 
     @pytest.mark.parametrize(
         "data",
-        [b"\x80\x09future-protocol", pickle.dumps([1, 2])],
-        ids=["unsupported-protocol", "not-a-setup"],
+        [
+            b"\x80\x09future-protocol",
+            pickle.dumps([1, 2]),
+            # A dict used as a dict key: TypeError.
+            b"\x80\x02}q\x00}q\x01K\x01s.",
+            # A FRAME length past the platform's maximum: OverflowError.
+            b"\x80\x04\x95" + b"\xff" * 8,
+            # A 4 EiB BINBYTES8 buffer, refused before any allocation:
+            # MemoryError.
+            b"\x80\x04\x8e" + (2**62).to_bytes(8, "little"),
+        ],
+        ids=["unsupported-protocol", "not-a-setup", "type-error", "overflow", "memory-error"],
     )
     def test_unusable_setup_entry_is_a_dropped_miss(self, setup, tmp_path, data):
         cache = ResultCache(tmp_path / "cache")
