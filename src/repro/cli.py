@@ -503,7 +503,7 @@ def _cmd_cross_workload(args) -> int:
 
 def _cmd_resilience(args) -> int:
     from repro.errors import FaultError
-    from repro.eval import prepare, resilience_table, run_resilience
+    from repro.eval import SetupTask, prepare_setups, resilience_table, run_resilience
     from repro.faults import CampaignSpec, build_campaign
 
     kinds = ("link", "switch") if args.faults == "both" else (args.faults,)
@@ -512,7 +512,9 @@ def _cmd_resilience(args) -> int:
     unknown = [k for k in topologies if k not in known]
     if unknown:
         raise FaultError(f"unknown topology kinds {unknown}; choose from {known}")
-    setup = prepare(args.benchmark, args.nodes, seed=args.seed)
+    runner = _runner_kwargs(args)
+    task = SetupTask(args.benchmark, args.nodes, seed=args.seed)
+    setup = prepare_setups([task], jobs=runner["jobs"], cache=runner["cache"])[task]
     for i, kind in enumerate(topologies):
         topology = setup.topology(kind)
         campaign = build_campaign(
@@ -535,7 +537,7 @@ def _cmd_resilience(args) -> int:
             topology,
             campaign,
             link_delays=setup.link_delays(kind),
-            **_runner_kwargs(args),
+            **runner,
         )
         if i:
             print()

@@ -33,7 +33,8 @@ per batch rather than once per cell.
 Cache layout (under ``.repro-cache/`` by default)::
 
     results/<sha256>.json   one simulation payload per cell
-    setups/<sha256>.pkl     pickled BenchmarkSetup per (name, n, seed)
+    setups/<sha256>.json    one setup's design and floorplan per
+                            (name, n, seed); see setup_to_dict
 
 Determinism
 -----------
@@ -51,7 +52,6 @@ import functools
 import hashlib
 import json
 import os
-import pickle
 import sys
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -78,7 +78,13 @@ from typing import (
 )
 
 from repro.errors import ReproError
-from repro.eval.serialize import canonical_json, config_to_dict, result_to_dict
+from repro.eval.serialize import (
+    canonical_json,
+    config_to_dict,
+    result_to_dict,
+    setup_from_dict,
+    setup_to_dict,
+)
 from repro.model.message import Communication
 from repro.model.pattern import CommunicationPattern
 from repro.obs import DISABLED, Observability
@@ -95,6 +101,7 @@ from repro.workloads.events import Program, SendEvent
 
 if TYPE_CHECKING:  # pragma: no cover - runtime import would cycle via
     # repro.synthesis.portfolio, which imports this module at module scope.
+    from repro.eval.runner import BenchmarkSetup
     from repro.synthesis.annealing import AnnealSchedule
     from repro.synthesis.constraints import DesignConstraints
 
@@ -152,10 +159,10 @@ class ResultCache:
         except OSError:
             pass
 
-    def _atomic_write(self, path: Path, data: bytes) -> None:
+    def _atomic_write(self, path: Path, payload: dict) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        tmp.write_bytes(data)
+        tmp.write_bytes(canonical_json(payload).encode("utf-8"))
         os.replace(tmp, path)
 
     # -- result payloads (JSON) ---------------------------------------
@@ -187,66 +194,34 @@ class ResultCache:
         self._drop(self.results_dir / f"{key}.json")
 
     def put_result(self, key: str, payload: dict) -> None:
-        self._atomic_write(
-            self.results_dir / f"{key}.json",
-            canonical_json(payload).encode("utf-8"),
-        )
+        self._atomic_write(self.results_dir / f"{key}.json", payload)
 
-    # -- benchmark setups (pickle) ------------------------------------
+    # -- benchmark setups (JSON, see serialize.setup_to_dict) --------
 
-    def get_setup(self, key: str):
-        """The cached :class:`~repro.eval.runner.BenchmarkSetup`, or ``None``.
+    def get_setup(self, key: str) -> Optional[dict]:
+        """A setup's cached payload, or ``None``; corrupt entries read
+        as misses, as for :meth:`get_result`."""
+        return self._read_object(self.setups_dir / f"{key}.json")
 
-        A torn or unreadable pickle (including one from a newer pickle
-        protocol, and corrupt bytes that make the unpickler raise
-        ``TypeError``, ``OverflowError`` or ``MemoryError``) or a pickle
-        of anything but a setup is corrupt: it is dropped and reads as a
-        miss, like a non-object JSON result.
-        """
-        from repro.eval.runner import BenchmarkSetup
+    def drop_setup(self, key: str) -> None:
+        """Delete a setup entry, e.g. one that does not decode."""
+        self._drop(self.setups_dir / f"{key}.json")
 
-        path = self.setups_dir / f"{key}.pkl"
-        try:
-            with path.open("rb") as fh:
-                setup = pickle.load(fh)
-        except FileNotFoundError:
-            return None
-        except (
-            OSError,
-            ValueError,
-            pickle.PickleError,
-            EOFError,
-            AttributeError,
-            ImportError,
-            TypeError,
-            OverflowError,
-            MemoryError,
-        ):
-            setup = None
-        if isinstance(setup, BenchmarkSetup):
-            return setup
-        self._drop(path)
-        return None
-
-    def put_setup(self, key: str, setup) -> None:
-        self._atomic_write(
-            self.setups_dir / f"{key}.pkl",
-            pickle.dumps(setup, protocol=pickle.HIGHEST_PROTOCOL),
-        )
+    def put_setup(self, key: str, payload: dict) -> None:
+        self._atomic_write(self.setups_dir / f"{key}.json", payload)
 
     # -- maintenance ---------------------------------------------------
 
-    def _entries(self) -> List[Path]:
-        out: List[Path] = []
-        for d in (self.results_dir, self.setups_dir):
-            if d.is_dir():
-                out.extend(p for p in d.iterdir() if p.is_file())
-        return out
+    @staticmethod
+    def _files(directory: Path) -> List[Path]:
+        if not directory.is_dir():
+            return []
+        return [p for p in directory.iterdir() if p.is_file()]
 
     def clear(self) -> int:
         """Remove every cached entry; returns how many were removed."""
         removed = 0
-        for path in self._entries():
+        for path in self._files(self.results_dir) + self._files(self.setups_dir):
             try:
                 path.unlink()
                 removed += 1
@@ -288,15 +263,10 @@ class ResultCache:
             "synthesis_infeasible": 0,
             "synthesis_bytes": 0,
         }
-        entries = self._entries()
-        results = 0
-        setups = 0
-        for path in entries:
-            if path.suffix == ".pkl":
-                setups += 1
-                continue
+        results = self._files(self.results_dir)
+        setups = self._files(self.setups_dir)
+        for path in results:
             size = path.stat().st_size
-            results += 1
             try:
                 payload = json.loads(path.read_text(encoding="utf-8"))
             except (OSError, ValueError):
@@ -314,9 +284,9 @@ class ResultCache:
                 counts["eval_bytes"] += size
         return {
             "root": str(self.root),
-            "results": results,
-            "setups": setups,
-            "bytes": sum(p.stat().st_size for p in entries),
+            "results": len(results),
+            "setups": len(setups),
+            "bytes": sum(p.stat().st_size for p in results + setups),
             **counts,
         }
 
@@ -972,9 +942,11 @@ class SetupTask:
         )
 
 
-def _build_setup(task: SetupTask, key: str, cache_root: Optional[str]):
-    """Build one setup (worker side), writing it through to the cache
-    under ``key``, the task's key as the coordinator computed it.
+def _build_setup(task: SetupTask, key: str, cache_root: Optional[str]) -> dict:
+    """Build one setup (worker side), writing its
+    :func:`~repro.eval.serialize.setup_to_dict` payload through to the
+    cache under ``key``, the task's key as the coordinator computed it,
+    and return the payload.
 
     Synthesis and placement are fully seeded, so rebuilding the same
     task in any process yields the identical setup (pinned by the
@@ -982,34 +954,45 @@ def _build_setup(task: SetupTask, key: str, cache_root: Optional[str]):
     """
     from repro.eval.runner import prepare
 
-    setup = prepare(task.benchmark, task.n, seed=task.seed, restarts=task.restarts)
+    payload = setup_to_dict(
+        prepare(task.benchmark, task.n, seed=task.seed, restarts=task.restarts)
+    )
     if cache_root is not None:
-        ResultCache(cache_root).put_setup(key, setup)
-    return setup
+        ResultCache(cache_root).put_setup(key, payload)
+    return payload
 
 
 def prepare_setups(
     tasks: Sequence[SetupTask],
     jobs: Optional[int] = None,
     cache: Optional[ResultCache] = None,
-) -> Dict[SetupTask, "object"]:
-    """Prepare every setup of a grid, in parallel and through the cache."""
+) -> Dict[SetupTask, BenchmarkSetup]:
+    """Prepare every setup of a grid, in parallel and through the cache.
+
+    Every setup returned is decoded from its payload, whether the cache
+    held it or it was just built, so a warm and a cold grid replay the
+    same objects.  A cached payload that does not decode (any
+    :class:`~repro.errors.ReproError`) is dropped and rebuilt.
+    """
     cache_root = str(cache.root) if cache is not None else None
-    setups: Dict[SetupTask, object] = {}
+    setups: Dict[SetupTask, BenchmarkSetup] = {}
     misses: Dict[SetupTask, str] = {}
     for task in tasks:
         if task in setups or task in misses:
             continue
         key = task.key()
         cached = cache.get_setup(key) if cache is not None else None
-        if cached is not None:
-            setups[task] = cached
-        else:
-            misses[task] = key
+        if cache is not None and cached is not None:
+            try:
+                setups[task] = setup_from_dict(task, cached)
+                continue
+            except ReproError:
+                cache.drop_setup(key)
+        misses[task] = key
     workers = resolve_jobs(jobs)
     if workers is None or len(misses) <= 1:
         for task, key in misses.items():
-            setups[task] = _build_setup(task, key, cache_root)
+            setups[task] = setup_from_dict(task, _build_setup(task, key, cache_root))
     else:
         with ProcessPoolExecutor(max_workers=min(workers, len(misses))) as pool:
             futures = {
@@ -1017,5 +1000,5 @@ def prepare_setups(
                 for task, key in misses.items()
             }
             for fut, task in futures.items():
-                setups[task] = fut.result()
+                setups[task] = setup_from_dict(task, fut.result())
     return setups

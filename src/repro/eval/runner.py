@@ -50,6 +50,11 @@ class BenchmarkSetup:
         return None
 
 
+def baselines(n: int) -> Dict[str, Topology]:
+    """The crossbar, mesh and torus the generated network is compared to."""
+    return {"crossbar": crossbar(n), "mesh": mesh_for(n), "torus": torus_for(n)}
+
+
 def _build_setup(
     name: str, n: int, seed: int, restarts: int, obs: Observability
 ) -> BenchmarkSetup:
@@ -61,16 +66,12 @@ def _build_setup(
     with tracer.span("setup.floorplan", benchmark=name, n=n, seed=seed):
         plan = place(design.network, seed=seed, obs=obs)
     with tracer.span("setup.baselines", n=n):
-        baselines = {
-            "crossbar": crossbar(n),
-            "mesh": mesh_for(n),
-            "torus": torus_for(n),
-        }
+        compared = baselines(n)
     return BenchmarkSetup(
         benchmark=bench,
         design=design,
         floorplan=plan,
-        baselines=baselines,
+        baselines=compared,
     )
 
 

@@ -10,7 +10,9 @@ on-disk result cache and the utilization report, and
 :class:`~repro.simulator.stats.SimulationResult` through JSON-safe
 dictionaries losslessly (floats survive via JSON's shortest-repr
 round-trip), so cached results are byte-identical to freshly computed
-ones once both pass through :func:`canonical_json`.
+ones once both pass through :func:`canonical_json`.  The other codecs
+cover open-loop points, synthesized designs, and the design plus
+floorplan a benchmark setup is cached as (:func:`setup_to_dict`).
 """
 
 from __future__ import annotations
@@ -25,10 +27,17 @@ from repro.simulator.openloop import LoadPoint
 from repro.simulator.stats import SimulationResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (see design_to_dict)
+    from repro.eval.parallel import SetupTask
+    from repro.eval.runner import BenchmarkSetup
+    from repro.floorplan.place import Floorplan
     from repro.model.pattern import CommunicationPattern
     from repro.synthesis.generator import GeneratedDesign
 
 _RESOURCE_KINDS = ("link", "inj", "ej")
+
+# What indexing, unpacking or reading a malformed record raises: a
+# missing field, a record cut short, a list where a map belongs.
+_MALFORMED = (KeyError, IndexError, TypeError, ValueError, AttributeError)
 
 
 class SerializationError(ReproError):
@@ -128,7 +137,8 @@ def result_from_dict(raw: dict) -> SimulationResult:
     """Invert :func:`result_to_dict`.
 
     Raises:
-        SerializationError: ``raw`` is not a dict or lacks a field.
+        SerializationError: ``raw`` is not a dict, lacks a field, or
+            holds a malformed record.
     """
     try:
         return SimulationResult(
@@ -145,7 +155,7 @@ def result_from_dict(raw: dict) -> SimulationResult:
             config=config_from_dict(raw["config"]),
             packet_latencies=tuple(raw["packet_latencies"]),
         )
-    except (KeyError, TypeError) as exc:
+    except _MALFORMED as exc:
         raise _malformed("simulation result", raw, exc) from exc
 
 
@@ -167,7 +177,8 @@ def loadpoint_from_dict(raw: dict) -> LoadPoint:
     """Invert :func:`loadpoint_to_dict`.
 
     Raises:
-        SerializationError: ``raw`` is not a dict or lacks a field.
+        SerializationError: ``raw`` is not a dict, lacks a field, or
+            holds a malformed record.
     """
     try:
         return LoadPoint(
@@ -180,7 +191,7 @@ def loadpoint_from_dict(raw: dict) -> LoadPoint:
             p95_latency=raw["p95_latency"],
             p99_latency=raw["p99_latency"],
         )
-    except (KeyError, TypeError) as exc:
+    except _MALFORMED as exc:
         raise _malformed("load point", raw, exc) from exc
 
 
@@ -244,18 +255,13 @@ def design_from_dict(raw: dict, pattern: "CommunicationPattern") -> "GeneratedDe
     """Invert :func:`design_to_dict` against the original pattern.
 
     The pattern itself is not serialized (the cache key already pins its
-    full fingerprint); the caller supplies it and the clique analysis is
-    recomputed — ``CliqueAnalysis.of`` is a pure function of the
-    pattern.  ``result`` is ``None`` on the rehydrated design: the
-    partition state does not survive serialization, only its counters do
-    (``stats``).  Round-tripping the result through
-    :func:`design_to_dict` is byte-identical.
+    full fingerprint); the caller supplies it.  Round-tripping the
+    result through :func:`design_to_dict` is byte-identical.
 
     Raises:
-        SerializationError: ``raw`` is not a dict, lacks a field, or was
-            synthesized for another pattern.
+        SerializationError: ``raw`` is not a dict, lacks a field, holds
+            a malformed record, or was synthesized for another pattern.
     """
-    from repro.model.cliques import CliqueAnalysis
     from repro.model.contention import ContentionEvent
     from repro.model.message import Communication
     from repro.model.theorem import ContentionCertificate, ContentionViolation
@@ -312,7 +318,6 @@ def design_from_dict(raw: dict, pattern: "CommunicationPattern") -> "GeneratedDe
         return GeneratedDesign(
             topology=topology,
             pattern=pattern,
-            analysis=CliqueAnalysis.of(pattern),
             certificate=certificate,
             switch_map={s: n for s, n in raw["switch_map"]},
             pipe_links={
@@ -320,10 +325,87 @@ def design_from_dict(raw: dict, pattern: "CommunicationPattern") -> "GeneratedDe
             },
             seed=raw["seed"],
             stats=DesignStats(**raw["stats"]),
-            result=None,
         )
-    except (KeyError, TypeError) as exc:
+    except _MALFORMED as exc:
         raise _malformed("design", raw, exc) from exc
+
+
+def floorplan_to_dict(plan: "Floorplan") -> dict:
+    """JSON-safe, lossless dictionary form of a floorplan.
+
+    Each map is a list of ``[key, x, y]`` (or ``[link, cost]``) records
+    in its insertion order, so decoding rebuilds equal dicts in the same
+    order.
+    """
+    return {
+        "width": plan.grid.width,
+        "height": plan.grid.height,
+        "switch_corner": [[s, x, y] for s, (x, y) in plan.switch_corner.items()],
+        "processor_cell": [[p, i, j] for p, (i, j) in plan.processor_cell.items()],
+        "link_costs": [[link, cost] for link, cost in plan.link_costs.items()],
+        "feasible": plan.feasible,
+    }
+
+
+def floorplan_from_dict(raw: dict) -> "Floorplan":
+    """Invert :func:`floorplan_to_dict`.
+
+    Raises:
+        SerializationError: ``raw`` is not a dict, lacks a field, or
+            holds a malformed record.
+    """
+    from repro.floorplan.place import Floorplan
+    from repro.floorplan.tiles import TileGrid
+
+    try:
+        return Floorplan(
+            grid=TileGrid(width=raw["width"], height=raw["height"]),
+            switch_corner={s: (x, y) for s, x, y in raw["switch_corner"]},
+            processor_cell={p: (i, j) for p, i, j in raw["processor_cell"]},
+            link_costs={link: cost for link, cost in raw["link_costs"]},
+            feasible=raw["feasible"],
+        )
+    except _MALFORMED as exc:
+        raise _malformed("floorplan", raw, exc) from exc
+
+
+def setup_to_dict(setup: "BenchmarkSetup") -> dict:
+    """The cached part of a benchmark setup: its design and floorplan.
+
+    The program, pattern and baselines are not stored: the setup task
+    names the benchmark, and :func:`setup_from_dict` rebuilds them with
+    the same deterministic builders the setup was made from.
+    """
+    return {
+        "design": design_to_dict(setup.design),
+        "floorplan": floorplan_to_dict(setup.floorplan),
+    }
+
+
+def setup_from_dict(task: "SetupTask", raw: dict) -> "BenchmarkSetup":
+    """Invert :func:`setup_to_dict` for the setup ``task`` names.
+
+    Raises:
+        SerializationError: ``raw`` is not a dict, lacks a field, holds
+            a malformed record, or holds another benchmark's design.
+        ReproError: a record names a switch, link or route the rebuilt
+            network does not have (a ``TopologyError`` or
+            ``RoutingError``).
+    """
+    from repro.eval.runner import BenchmarkSetup, baselines
+    from repro.workloads.nas import benchmark
+
+    bench = benchmark(task.benchmark, task.n)
+    try:
+        design, floorplan = raw["design"], raw["floorplan"]
+    except _MALFORMED as exc:
+        raise _malformed("setup", raw, exc) from exc
+    return BenchmarkSetup(
+        benchmark=bench,
+        design=design_from_dict(design, bench.pattern),
+        floorplan=floorplan_from_dict(floorplan),
+        baselines=baselines(task.n),
+    )
 
 
 def canonical_json(payload) -> str:

@@ -26,11 +26,11 @@ from repro.synthesis.partition import PartitionResult, Partitioner
 
 @dataclass(frozen=True)
 class DesignStats:
-    """Partitioning counters a design carries after materialization.
+    """Partitioning counters a design keeps from its winning restart.
 
-    Unlike :class:`~repro.synthesis.partition.PartitionResult` (whose
-    :class:`~repro.synthesis.state.SynthesisState` is too heavy to
-    serialize), these survive the JSON round-trip through
+    The :class:`~repro.synthesis.partition.PartitionResult` itself (its
+    :class:`~repro.synthesis.state.SynthesisState`) is discarded after
+    materialization; these counters survive the JSON round-trip through
     :func:`repro.eval.serialize.design_to_dict`, so a cache-rehydrated
     design reports the same numbers as a freshly computed one.
     """
@@ -59,27 +59,24 @@ class GeneratedDesign:
             the synthesized source-routing table (with shortest-path
             fallback for communications outside the target pattern).
         pattern: the communication pattern the network was designed for.
-        analysis: the clique analysis of that pattern.
         certificate: Theorem 1 check of the pattern on this network.
         switch_map: synthesis switch id -> network switch id.
         pipe_links: pipe (network switch pair) -> link ids in color order.
         seed: the restart seed that produced this design.
         stats: partitioning counters (serialization-stable).
-        result: the raw partitioning result (state, pipe widths) — only
-            present on freshly computed designs; ``None`` after a
-            rehydration from the synthesis cache, whose JSON payload
-            carries :attr:`stats` instead.
+
+    Every field but ``pattern`` (which the decoder is handed) is what
+    :func:`~repro.eval.serialize.design_to_dict` stores, so a fresh
+    design and one read back from a cache hold the same things.
     """
 
     topology: Topology
     pattern: CommunicationPattern
-    analysis: CliqueAnalysis
     certificate: ContentionCertificate
     switch_map: Dict[int, int]
     pipe_links: Dict[FrozenSet[int], Tuple[int, ...]]
     seed: int
     stats: DesignStats
-    result: Optional[PartitionResult] = None
 
     @property
     def network(self) -> Network:
@@ -195,12 +192,11 @@ def generate_network(
         m.gauge("synthesis.total_links").set(result.total_links())
         m.gauge("synthesis.switches").set(len(result.state.switches))
     with obs.tracer.span("synthesis.materialize", seed=best_seed):
-        return _materialize(pattern, analysis, result, best_seed)
+        return _materialize(pattern, result, best_seed)
 
 
 def _materialize(
     pattern: CommunicationPattern,
-    analysis: CliqueAnalysis,
     result: PartitionResult,
     seed: int,
 ) -> GeneratedDesign:
@@ -266,7 +262,6 @@ def _materialize(
     return GeneratedDesign(
         topology=topology,
         pattern=pattern,
-        analysis=analysis,
         certificate=certificate,
         switch_map=switch_map,
         pipe_links=pipe_links,
@@ -276,5 +271,4 @@ def _materialize(
             route_moves=result.route_moves,
             processor_moves=result.processor_moves,
         ),
-        result=result,
     )

@@ -11,9 +11,9 @@ Regenerate the fixture after an *intentional* simulation change with::
     REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/eval/test_determinism.py -q
 """
 
+import copy
 import json
 import os
-import pickle
 from pathlib import Path
 
 import pytest
@@ -27,7 +27,8 @@ from repro.eval.parallel import (
     run_cells,
 )
 from repro.eval.resilience import run_resilience
-from repro.eval.serialize import canonical_json, result_from_dict
+from repro.eval.runner import prepare
+from repro.eval.serialize import canonical_json, result_from_dict, setup_to_dict
 from repro.faults import CampaignSpec, build_campaign
 from repro.simulator import SimConfig
 
@@ -171,31 +172,37 @@ class TestCacheKeys:
         assert _payload_bytes(warm) == _payload_bytes(redone)
 
     @pytest.mark.parametrize(
-        "data",
+        "corrupt",
         [
-            b"\x80\x09future-protocol",
-            pickle.dumps([1, 2]),
-            # A dict used as a dict key: TypeError.
-            b"\x80\x02}q\x00}q\x01K\x01s.",
-            # A FRAME length past the platform's maximum: OverflowError.
-            b"\x80\x04\x95" + b"\xff" * 8,
-            # A 4 EiB BINBYTES8 buffer, refused before any allocation:
-            # MemoryError.
-            b"\x80\x04\x8e" + (2**62).to_bytes(8, "little"),
+            lambda p: canonical_json(p)[:400],
+            lambda p: "[1, 2]",
+            lambda p: canonical_json({"floorplan": p["floorplan"]}),
+            # Another benchmark's design: its pattern name does not match.
+            lambda p: canonical_json(setup_to_dict(prepare("mg", 8, seed=0))),
+            lambda p: _edit_design(p, "routes", 0, p["design"]["routes"][0][:3]),
+            # A link to a switch the network does not have: TopologyError.
+            lambda p: _edit_design(p, "links", 0, [0, p["design"]["num_switches"]]),
         ],
-        ids=["unsupported-protocol", "not-a-setup", "type-error", "overflow", "memory-error"],
+        ids=["torn", "not-a-setup", "no-design", "other-pattern", "cut-route", "missing-switch"],
     )
-    def test_unusable_setup_entry_is_a_dropped_miss(self, setup, tmp_path, data):
+    def test_unusable_setup_entry_is_a_dropped_miss(self, setup, tmp_path, corrupt):
+        """An entry that does not decode to the task's setup is rebuilt
+        and rewritten, never served."""
         cache = ResultCache(tmp_path / "cache")
         task = SetupTask("cg", 8, seed=0)
-        path = cache.setups_dir / f"{task.key()}.pkl"
-        cache.put_setup(task.key(), setup)
-        path.write_bytes(data)
-        assert cache.get_setup(task.key()) is None
-        assert not path.exists()
+        payload = setup_to_dict(setup)
+        path = cache.setups_dir / f"{task.key()}.json"
+        cache.put_setup(task.key(), payload)
+        path.write_text(corrupt(copy.deepcopy(payload)), encoding="utf-8")
         rebuilt = prepare_setups([task], cache=cache)[task]
         assert rebuilt.floorplan == setup.floorplan
-        assert path.exists()
+        assert path.read_text(encoding="utf-8") == canonical_json(payload)
+
+
+def _edit_design(payload, field, index, record):
+    """The entry text of ``payload`` with one design record replaced."""
+    payload["design"][field][index] = record
+    return canonical_json(payload)
 
 
 class TestResilienceDeterminism:

@@ -4,7 +4,8 @@ The coordinator keys every cell once and answers hits from the cache
 itself; only misses are computed, in process when the run is serial or
 there is just one, otherwise over a pool sized to the misses.  These
 tests swap the process pool for stand-ins that either refuse to start
-or run submissions inline and record them, so they stay fast.
+or run submissions inline and record them, so they stay fast; the one
+real Figure 8 grid, whose warm run must build no setup, is slow-marked.
 """
 
 from concurrent.futures import Future
@@ -12,7 +13,9 @@ from concurrent.futures import Future
 import pytest
 
 import repro.eval.parallel as parallel
-from repro.eval.parallel import OpenLoopCell, ResultCache, run_cells
+from repro.eval.experiments import figure8_rows, paper_sizes
+from repro.eval.parallel import OpenLoopCell, PerformanceCell, ResultCache, run_cells
+from repro.eval.runner import TOPOLOGY_ORDER, prepare
 from repro.eval.serialize import canonical_json
 from repro.obs import enabled_observability
 from repro.simulator import SimConfig
@@ -191,3 +194,43 @@ def test_real_pool_computes_misses_and_writes_them_through(cache, cold):
     assert [o.cache_hit for o in fanned] == [True, False, False, False]
     assert _bytes(fanned) == _bytes(cold)
     assert all(o.cache_hit for o in run_cells(cells, cache=cache))
+
+
+@pytest.mark.slow
+def test_warm_grid_builds_no_setup(cache, monkeypatch):
+    """A warm Figure 8 grid reads its setups and cells from the cache:
+    no setup is built, in process or in a pool worker, and every row
+    and cell key equals the cold run's.  The keys also equal those of
+    setups built in process by ``prepare()``, so caches written before
+    setups were read back from JSON stay warm."""
+
+    def grid():
+        keys = {}
+        rows = figure8_rows(
+            "small",
+            jobs=2,
+            cache=cache,
+            progress=lambda outcome, done, total: keys.update({outcome.label: outcome.key}),
+        )
+        return rows, keys
+
+    cold_rows, cold_keys = grid()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a warm grid built a setup")
+
+    monkeypatch.setattr(parallel, "_build_setup", refuse)
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", refuse)
+    assert grid() == (cold_rows, cold_keys)
+    built = {
+        f"{setup.name}/{kind}": PerformanceCell(
+            label="",
+            program=setup.benchmark.program,
+            topology=setup.topology(kind),
+            config=SimConfig(),
+            link_delays=setup.link_delays(kind),
+        ).key()
+        for setup in (prepare(name, n) for name, n in paper_sizes("small").items())
+        for kind in TOPOLOGY_ORDER
+    }
+    assert built == cold_keys

@@ -1,5 +1,6 @@
 """Round-trip and stability tests for the result serialization layer."""
 
+import copy
 import json
 import re
 
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.eval.parallel import SetupTask
+from repro.eval.runner import prepare
 from repro.eval.serialize import (
     SerializationError,
     canonical_json,
@@ -18,10 +21,14 @@ from repro.eval.serialize import (
     design_to_dict,
     encode_link_utilization,
     encode_resource,
+    floorplan_from_dict,
+    floorplan_to_dict,
     loadpoint_from_dict,
     loadpoint_to_dict,
     result_from_dict,
     result_to_dict,
+    setup_from_dict,
+    setup_to_dict,
 )
 from repro.simulator import SimConfig, simulate
 from repro.simulator.openloop import LoadPoint, run_open_loop
@@ -42,21 +49,68 @@ NON_OBJECTS = st.one_of(
 )
 
 
-def _assert_fails_by_name(decode, payload, data):
-    """``decode`` raises a named error on ``payload`` with one field
-    removed, or on a non-object in its place."""
-    how, value = data.draw(
-        st.one_of(
-            st.sampled_from(sorted(payload)).map(lambda field: ("drop", field)),
-            NON_OBJECTS.map(lambda other: ("replace", other)),
-        )
+# Values that cannot stand in for a nested record (a list of fields or
+# a map): a scalar, or a list too short to unpack.
+NOT_RECORDS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False),
+    st.lists(st.integers(), max_size=1),
+)
+
+
+def _at(payload, path):
+    for step in path:
+        payload = payload[step]
+    return payload
+
+
+def _damaged_record(payload, path):
+    """``payload`` with the record at ``path`` cut short (a list record)
+    or replaced by a value that is not a record."""
+    record = _at(payload, path)
+    cut = (
+        st.integers(0, len(record) - 1).map(lambda k: record[:k])
+        if isinstance(record, list)
+        else st.nothing()
     )
+
+    def put(value):
+        raw = copy.deepcopy(payload)
+        _at(raw, path[:-1])[path[-1]] = value
+        return raw
+
+    return st.one_of(cut, NOT_RECORDS).map(put)
+
+
+def _assert_fails_by_name(decode, payload, data, kind, records=()):
+    """``decode`` raises an error naming the ``kind`` of payload when
+    ``payload`` has one field removed, when a non-object stands in its
+    place, or when one nested record (a path in ``records``) is cut
+    short or replaced by a value that is not a record."""
+    draws = [
+        st.sampled_from(sorted(payload)).map(lambda field: ("drop", field)),
+        NON_OBJECTS.map(lambda other: ("replace", other)),
+    ]
+    if records:
+        draws.append(
+            st.sampled_from(records)
+            .flatmap(lambda path: _damaged_record(payload, path))
+            .map(lambda raw: ("record", raw))
+        )
+    how, value = data.draw(st.one_of(draws))
     if how == "drop":
         raw = {k: v for k, v in payload.items() if k != value}
-        with pytest.raises(SerializationError, match=re.escape(f"lacks field {value!r}")):
+        with pytest.raises(
+            SerializationError, match=re.escape(f"{kind} payload lacks field {value!r}")
+        ):
             decode(raw)
+    elif how == "replace":
+        with pytest.raises(SerializationError, match=f"{kind} payload must be a JSON object"):
+            decode(value)
     else:
-        with pytest.raises(SerializationError, match="must be a JSON object"):
+        with pytest.raises(SerializationError, match=f"malformed {kind} payload"):
             decode(value)
 
 
@@ -136,7 +190,13 @@ class TestResultRoundTrip:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_malformed_payload_fails_by_name(self, result_payload, data):
-        _assert_fails_by_name(result_from_dict, result_payload, data)
+        _assert_fails_by_name(
+            result_from_dict,
+            result_payload,
+            data,
+            "simulation result",
+            records=[("link_utilization",)],
+        )
 
     def test_config_round_trip(self):
         config = SimConfig(num_vcs=2, deadlock_threshold=123)
@@ -185,21 +245,18 @@ class TestDesignRoundTrip:
                 == generated.topology.routing.route(comm).hops
             )
 
-    def test_partition_result_is_not_serialized(self, design):
-        """The in-process PartitionResult does not survive the JSON
-        round trip by design; the stats summary does."""
-        pattern, generated = design
-        assert generated.result is not None
-        restored = design_from_dict(design_to_dict(generated), pattern)
-        assert restored.result is None
-        assert restored.stats.bisections == generated.result.bisections
-
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_malformed_payload_fails_by_name(self, design, data):
         pattern, generated = design
         payload = design_to_dict(generated)
-        _assert_fails_by_name(lambda raw: design_from_dict(raw, pattern), payload, data)
+        _assert_fails_by_name(
+            lambda raw: design_from_dict(raw, pattern),
+            payload,
+            data,
+            "design",
+            records=[("routes", 0), ("switch_map", 0), ("pipe_links", 0)],
+        )
 
     def test_pattern_name_mismatch_rejected(self, design):
         from repro.workloads import benchmark
@@ -207,6 +264,60 @@ class TestDesignRoundTrip:
         pattern, generated = design
         with pytest.raises(SerializationError, match="pattern"):
             design_from_dict(design_to_dict(generated), benchmark("mg", 8).pattern)
+
+
+@pytest.fixture(scope="module")
+def cg8_setup():
+    return prepare("cg", 8, seed=0)
+
+
+class TestFloorplanRoundTrip:
+    def test_floorplan_survives_json(self, cg8_setup):
+        plan = cg8_setup.floorplan
+        restored = floorplan_from_dict(json.loads(json.dumps(floorplan_to_dict(plan))))
+        assert restored == plan
+        # Insertion order survives too, so the maps iterate alike.
+        for name in ("switch_corner", "processor_cell", "link_costs"):
+            assert list(getattr(restored, name)) == list(getattr(plan, name))
+        assert restored.render() == plan.render()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_malformed_payload_fails_by_name(self, cg8_setup, data):
+        _assert_fails_by_name(
+            floorplan_from_dict,
+            floorplan_to_dict(cg8_setup.floorplan),
+            data,
+            "floorplan",
+            records=[("switch_corner", 0), ("processor_cell", 0), ("link_costs", 0)],
+        )
+
+
+class TestSetupRoundTrip:
+    """The setup-cache entry: a design and a floorplan, the rest rebuilt."""
+
+    def test_round_trip_is_canonically_stable(self, cg8_setup):
+        raw = json.loads(json.dumps(setup_to_dict(cg8_setup)))
+        restored = setup_from_dict(SetupTask("cg", 8), raw)
+        assert canonical_json(setup_to_dict(restored)) == canonical_json(raw)
+        assert restored.floorplan == cg8_setup.floorplan
+        assert restored.benchmark.pattern == cg8_setup.benchmark.pattern
+        for kind in ("crossbar", "mesh", "torus", "generated"):
+            assert (
+                restored.topology(kind).network.describe()
+                == cg8_setup.topology(kind).network.describe()
+            )
+            assert restored.link_delays(kind) == cg8_setup.link_delays(kind)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_malformed_payload_fails_by_name(self, cg8_setup, data):
+        _assert_fails_by_name(
+            lambda raw: setup_from_dict(SetupTask("cg", 8), raw),
+            setup_to_dict(cg8_setup),
+            data,
+            "setup",
+        )
 
 
 class TestLoadPointRoundTrip:
@@ -228,7 +339,7 @@ class TestLoadPointRoundTrip:
     @given(data=st.data())
     def test_malformed_payload_fails_by_name(self, data):
         payload = loadpoint_to_dict(LoadPoint(0.1, 0.09, 10.0, 5, False, 9, 12, 14))
-        _assert_fails_by_name(loadpoint_from_dict, payload, data)
+        _assert_fails_by_name(loadpoint_from_dict, payload, data, "load point")
 
     def test_percentile_fields_serialized(self):
         raw = loadpoint_to_dict(LoadPoint(0.1, 0.09, 10.0, 5, False, 9, 12, 14))

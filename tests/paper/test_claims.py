@@ -155,10 +155,14 @@ class TestCrossWorkload:
 class TestFastColor:
     def test_bound_is_a_tight_lower_bound_on_real_pipes(self):
         """Section 3.3: the clique bound never exceeds a pipe's chromatic
-        number and usually equals it."""
+        number and usually equals it.  Each design's pipes come from
+        re-running its winning restart, which is seeded."""
         exact = total = 0
         for name, n in paper_sizes("small").items():
-            state = prepare(name, n, seed=SEED).design.result.state
+            design = prepare(name, n, seed=SEED).design
+            state = Partitioner(
+                CliqueAnalysis.of(design.pattern), seed=design.seed
+            ).run().state
             for pair in state.pipes():
                 u, v = sorted(pair)
                 for comms in (state.pipe_forward(u, v), state.pipe_forward(v, u)):

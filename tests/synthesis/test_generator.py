@@ -46,7 +46,7 @@ class TestGenerateNetworkOnFigure1:
     def test_parallel_links_are_pinned_by_color(self, design):
         """Communications conflicting in time on the same pipe must use
         different parallel links."""
-        analysis = design.analysis
+        analysis = CliqueAnalysis.of(design.pattern)
         routing = design.topology.routing
         for clique in analysis.max_cliques:
             used = {}

@@ -150,11 +150,11 @@ class TestInfeasibleSynthesis:
 
 
 class TestResilienceCommand:
-    def test_generated_campaign_reports_degradation(self, capsys):
+    def test_generated_campaign_reports_degradation(self, tmp_path, capsys):
         rc = main(
             [
                 "resilience", "--benchmark", "cg", "--nodes", "8",
-                "--topologies", "generated",
+                "--topologies", "generated", "--cache-dir", str(tmp_path),
             ]
         )
         out = capsys.readouterr().out
@@ -162,6 +162,24 @@ class TestResilienceCommand:
         assert "Resilience of" in out
         assert "scenario" in out and "status" in out
         assert "survive connected" in out
+
+    def test_rerun_reads_its_setup_from_the_cache(self, tmp_path, capsys, monkeypatch):
+        import repro.eval.parallel as parallel
+
+        argv = [
+            "resilience", "--benchmark", "cg", "--nodes", "8",
+            "--topologies", "generated", "--cache-dir", str(tmp_path),
+        ]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cached campaign rebuilt its setup")
+
+        monkeypatch.setattr(parallel, "_build_setup", refuse)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == cold
+        assert len(list((tmp_path / "setups").iterdir())) == 1
 
     def test_unknown_topology_reports_error(self, capsys):
         rc = main(
