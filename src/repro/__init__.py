@@ -46,7 +46,6 @@ from repro.topology import (
     Network,
     Topology,
     crossbar,
-    fat_tree,
     mesh,
     mesh_for,
     torus,
@@ -80,7 +79,6 @@ __all__ = [
     "cross_validate",
     "crossbar",
     "extract_pattern",
-    "fat_tree",
     "generate_network",
     "generate_network_for_set",
     "mesh",

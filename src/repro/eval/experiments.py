@@ -32,14 +32,7 @@ from repro.eval.runner import TOPOLOGY_ORDER, BenchmarkSetup
 from repro.eval.serialize import result_from_dict
 from repro.floorplan.area import TORUS_LINK_FACTOR, measure_area
 from repro.simulator.config import SimConfig
-from repro.workloads.nas import BENCHMARK_NAMES, PAPER_LARGE_SIZE, PAPER_SMALL_SIZES
-
-
-def paper_sizes(size: str) -> Dict[str, int]:
-    """Benchmark name -> process count for "small" (8/9) or "large" (16)."""
-    if size == "small":
-        return dict(PAPER_SMALL_SIZES)
-    return {name: PAPER_LARGE_SIZE for name in BENCHMARK_NAMES}
+from repro.workloads.nas import PAPER_LARGE_SIZE, paper_sizes
 
 
 def _setups(

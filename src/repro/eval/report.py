@@ -6,8 +6,6 @@ from typing import List, Sequence
 
 from repro.eval.experiments import CrossWorkloadRow, Figure7Row, Figure8Row
 from repro.eval.resilience import ResilienceReport
-from repro.eval.serialize import encode_resource
-from repro.simulator.stats import SimulationResult
 
 
 def _table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
@@ -74,25 +72,6 @@ def cross_workload_table(rows: List[CrossWorkloadRow], title: str) -> str:
         for r in rows
     ]
     headers = ["guest", "network", "exec cycles", "vs own net"]
-    return f"{title}\n" + _table(headers, body)
-
-
-def utilization_table(result: SimulationResult, title: str, top: int = 0) -> str:
-    """Per-channel busy fractions, busiest first.
-
-    Channels are shown with their stable string encoding
-    (``link:<id>:<dir>``, ``inj:<proc>``, ``ej:<proc>``) — the same keys
-    the result cache serializes under.  ``top`` limits the table to the
-    N busiest channels (0 = all).
-    """
-    ranked = sorted(
-        result.link_utilization.items(),
-        key=lambda kv: (-kv[1], encode_resource(kv[0])),
-    )
-    if top > 0:
-        ranked = ranked[:top]
-    body = [[encode_resource(res), f"{100 * frac:.1f}%"] for res, frac in ranked]
-    headers = ["channel", "busy"]
     return f"{title}\n" + _table(headers, body)
 
 

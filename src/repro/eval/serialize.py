@@ -32,6 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (see design_to_dict)
     from repro.floorplan.place import Floorplan
     from repro.model.pattern import CommunicationPattern
     from repro.synthesis.generator import GeneratedDesign
+    from repro.topology.network import Network
 
 _RESOURCE_KINDS = ("link", "inj", "ej")
 
@@ -382,15 +383,58 @@ def setup_to_dict(setup: "BenchmarkSetup") -> dict:
     }
 
 
+def _check_floorplan(network: "Network", plan: "Floorplan") -> None:
+    """Raise :class:`SerializationError` naming the first floorplan field
+    whose value contradicts the network it places.
+
+    Four facts hold for every plan :func:`repro.floorplan.place.place`
+    returns: the switch corners cover exactly the network's switches,
+    each link's cost is the Manhattan distance of its switches'
+    corners, each processor has a cell of its own, and the plan is
+    feasible exactly when every processor's cell touches its switch's
+    corner.  O(links + processors).
+    """
+    from repro.floorplan.tiles import manhattan
+
+    corners = plan.switch_corner
+    if set(corners) != set(network.switches):
+        raise SerializationError(
+            "floorplan switch_corner does not cover exactly the design's switches"
+        )
+    costs = plan.link_costs
+    if len(costs) != len(network.links) or any(
+        costs.get(link.link_id) != manhattan(corners[link.u], corners[link.v])
+        for link in network.links
+    ):
+        raise SerializationError(
+            "floorplan link_costs differ from the distances between the links' switch corners"
+        )
+    cells = plan.processor_cell
+    if set(cells) != set(range(network.num_processors)) or len(set(cells.values())) != len(cells):
+        raise SerializationError(
+            "floorplan processor_cell does not give each of the design's processors "
+            "a cell of its own"
+        )
+    touching = all(
+        plan.grid.touches(cell, corners[network.switch_of(p)]) for p, cell in cells.items()
+    )
+    if plan.feasible != touching:
+        raise SerializationError(
+            f"floorplan feasible is {plan.feasible!r}, but its processor cells say {touching!r}"
+        )
+
+
 def setup_from_dict(task: "SetupTask", raw: dict) -> "BenchmarkSetup":
     """Invert :func:`setup_to_dict` for the setup ``task`` names.
 
     Raises:
         SerializationError: ``raw`` is not a dict, lacks a field, holds
-            a malformed record, or holds another benchmark's design.
-        ReproError: a record names a switch, link or route the rebuilt
-            network does not have (a ``TopologyError`` or
-            ``RoutingError``).
+            a malformed record, holds another benchmark's design, or
+            holds a floorplan that contradicts its design (see
+            :func:`_check_floorplan`).
+        ReproError: a record names a switch, link, route or tile the
+            rebuilt network or grid does not have (a ``TopologyError``,
+            ``RoutingError`` or ``FloorplanError``).
     """
     from repro.eval.runner import BenchmarkSetup, baselines
     from repro.workloads.nas import benchmark
@@ -400,10 +444,13 @@ def setup_from_dict(task: "SetupTask", raw: dict) -> "BenchmarkSetup":
         design, floorplan = raw["design"], raw["floorplan"]
     except _MALFORMED as exc:
         raise _malformed("setup", raw, exc) from exc
+    design = design_from_dict(design, bench.pattern)
+    floorplan = floorplan_from_dict(floorplan)
+    _check_floorplan(design.network, floorplan)
     return BenchmarkSetup(
         benchmark=bench,
-        design=design_from_dict(design, bench.pattern),
-        floorplan=floorplan_from_dict(floorplan),
+        design=design,
+        floorplan=floorplan,
         baselines=baselines(task.n),
     )
 

@@ -20,13 +20,10 @@ from repro.faults.campaign import (
     FAULT_KINDS,
     CampaignSpec,
     build_campaign,
-    single_link_scenarios,
-    single_switch_scenarios,
 )
 from repro.faults.repair import (
     RepairResult,
     all_pairs,
-    dead_resources,
     repair_routes,
 )
 from repro.faults.spec import FaultScenario, FaultSpec, LinkFault, SwitchFault
@@ -43,8 +40,5 @@ __all__ = [
     "SwitchFault",
     "all_pairs",
     "build_campaign",
-    "dead_resources",
     "repair_routes",
-    "single_link_scenarios",
-    "single_switch_scenarios",
 ]

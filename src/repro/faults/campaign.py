@@ -65,26 +65,6 @@ def _single_faults(network: Network, spec: CampaignSpec) -> List[FaultSpec]:
     return faults
 
 
-def single_link_scenarios(
-    network: Network, start: int = 0, end: Optional[int] = None
-) -> Tuple[FaultScenario, ...]:
-    """One scenario per link of the network."""
-    return tuple(
-        FaultScenario.of(LinkFault(link.link_id, start=start, end=end))
-        for link in network.links
-    )
-
-
-def single_switch_scenarios(
-    network: Network, start: int = 0, end: Optional[int] = None
-) -> Tuple[FaultScenario, ...]:
-    """One scenario per switch of the network."""
-    return tuple(
-        FaultScenario.of(SwitchFault(s, start=start, end=end))
-        for s in network.switches
-    )
-
-
 def build_campaign(
     network: Network, spec: Optional[CampaignSpec] = None
 ) -> Tuple[FaultScenario, ...]:

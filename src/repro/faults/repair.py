@@ -14,19 +14,18 @@ permanently dead resources:
   reported as *disconnected*, a first-class outcome rather than an
   error, so the resilience evaluation can score them.
 
-Transient faults are ignored by default: routing around a failure that
-heals would hide exactly the retransmission behavior the fault
-subsystem exists to observe.  Pass ``include_transient=True`` to treat
-every fault as permanent for repair purposes.
+Transient faults are ignored: routing around a failure that heals
+would hide exactly the retransmission behavior the fault subsystem
+exists to observe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.errors import RoutingError
-from repro.faults.spec import FaultScenario, LinkFault, SwitchFault
+from repro.faults.spec import FaultScenario
 from repro.model.message import Communication
 from repro.topology.builders import Topology
 from repro.topology.routing import Route, ShortestPathRouting, TableRouting
@@ -69,22 +68,6 @@ def all_pairs(num_processors: int) -> Tuple[Communication, ...]:
     )
 
 
-def dead_resources(
-    scenario: FaultScenario, include_transient: bool = False
-) -> Tuple[FrozenSet[int], FrozenSet[int]]:
-    """The (link ids, switch ids) a repair pass must route around."""
-    links: Set[int] = set()
-    switches: Set[int] = set()
-    for fault in scenario.faults:
-        if not fault.permanent and not include_transient:
-            continue
-        if isinstance(fault, LinkFault):
-            links.add(fault.link_id)
-        elif isinstance(fault, SwitchFault):
-            switches.add(fault.switch_id)
-    return frozenset(links), frozenset(switches)
-
-
 def _route_touches(
     route: Route, dead_links: FrozenSet[int], dead_switches: FrozenSet[int]
 ) -> bool:
@@ -99,7 +82,6 @@ def repair_routes(
     topology: Topology,
     scenario: FaultScenario,
     pairs: Optional[Iterable[Communication]] = None,
-    include_transient: bool = False,
 ) -> RepairResult:
     """Recompute routes for ``pairs`` avoiding the scenario's dead resources.
 
@@ -109,7 +91,8 @@ def repair_routes(
     """
     network = topology.network
     scenario.validate(network)
-    dead_links, dead_switches = dead_resources(scenario, include_transient)
+    dead_links = scenario.permanent_link_ids
+    dead_switches = scenario.permanent_switch_ids
     # Links incident to a dead switch are unusable too.
     incident = {
         link.link_id
@@ -130,9 +113,7 @@ def repair_routes(
             original = topology.routing.route(comm)
         except RoutingError:
             original = None
-        if original is not None and not _route_touches(
-            original, frozenset(avoid_links), dead_switches
-        ):
+        if original is not None and not _route_touches(original, avoid_links, dead_switches):
             routes.append(original)
             unchanged.append(comm)
             continue
@@ -148,6 +129,6 @@ def repair_routes(
         unchanged=tuple(unchanged),
         rerouted=tuple(rerouted),
         disconnected=tuple(disconnected),
-        dead_link_ids=frozenset(dead_links),
-        dead_switch_ids=frozenset(dead_switches),
+        dead_link_ids=dead_links,
+        dead_switch_ids=dead_switches,
     )

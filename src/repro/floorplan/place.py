@@ -25,6 +25,9 @@ _PENALTY = 1000.0
 # Independent annealing restarts per placement call.
 _RESTARTS = 8
 
+# The cooling schedule of every restart.
+_SCHEDULE = AnnealSchedule(initial_temperature=8.0, cooling=0.96, steps=5000)
+
 
 @dataclass(frozen=True)
 class Floorplan:
@@ -237,7 +240,6 @@ def place(
     network: Network,
     grid: Optional[TileGrid] = None,
     seed: int = 0,
-    schedule: Optional[AnnealSchedule] = None,
     obs: Optional[Observability] = None,
 ) -> Floorplan:
     """Place a network on a tile grid, minimizing link area.
@@ -256,9 +258,6 @@ def place(
             f"{network.num_processors} processors"
         )
     moves = _Moves(network, grid)
-    sched = schedule or AnnealSchedule(
-        initial_temperature=8.0, cooling=0.96, steps=5000
-    )
     best: Optional[_Placement] = None
     best_key = None
     for restart in range(_RESTARTS):
@@ -267,7 +266,7 @@ def place(
         sa = SimulatedAnnealing(
             moves.energy,
             moves.neighbor,
-            sched,
+            _SCHEDULE,
             seed=seed * _RESTARTS + restart,
             obs=obs,
             label="floorplan.anneal",

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.errors import ReproError
 from repro.obs.metrics import (
     NULL_REGISTRY,
     Counter,
@@ -60,7 +61,7 @@ class Observability:
         sample_every: int = 128,
     ) -> None:
         if sample_every < 1:
-            raise ValueError(f"sample_every must be positive, got {sample_every}")
+            raise ReproError(f"sample_every must be positive, got {sample_every}")
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.sample_every = sample_every

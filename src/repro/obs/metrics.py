@@ -229,11 +229,11 @@ class MetricsRegistry:
             separators=(",", ":"),
         )
 
-    def write_json(self, path: str, include_wall: bool = True) -> None:
-        """Write the snapshot to ``path`` (wall section included, under
-        its dedicated key, unless disabled)."""
+    def write_json(self, path: str) -> None:
+        """Write the snapshot to ``path``, wall section included under
+        its dedicated key."""
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.snapshot(include_wall=include_wall), fh, indent=2, sort_keys=True)
+            json.dump(self.snapshot(include_wall=True), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
 

@@ -41,10 +41,8 @@ def run_profile(
     seed: int = 0,
     restarts: int = 8,
     kinds: Sequence[str] = TOPOLOGY_ORDER,
-    config: Optional[SimConfig] = None,
     cache: Optional[ResultCache] = None,
     sample_every: int = 128,
-    obs: Optional[Observability] = None,
 ) -> ProfileReport:
     """Run one benchmark end to end under full observability.
 
@@ -54,8 +52,8 @@ def run_profile(
     cache phase.  Cells run serially — observability cannot cross a
     process-pool boundary.
     """
-    obs = obs if obs is not None else enabled_observability(sample_every=sample_every)
-    config = config or SimConfig()
+    obs = enabled_observability(sample_every=sample_every)
+    config = SimConfig()
     with obs.tracer.span("profile.setup", benchmark=benchmark, n=n):
         setup = prepare(benchmark, n, seed=seed, restarts=restarts, obs=obs)
     cells = [

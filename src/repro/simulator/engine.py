@@ -774,18 +774,14 @@ class Engine:
             latency.observe(cycles)
         m.gauge("sim.cycles_simulated").set(self.cycles_simulated)
 
-    def link_utilization(
-        self, total_cycles: Optional[int] = None
-    ) -> Dict[ChannelId, float]:
+    def link_utilization(self) -> Dict[ChannelId, float]:
         """Busy fraction per channel.
 
-        Defaults to normalizing over :attr:`cycles_simulated` — the
-        window busy cycles actually accrue over, including the drain
-        after the last process finishes — so every fraction is in
-        [0, 1].  An explicit ``total_cycles`` overrides it.
+        Normalized over :attr:`cycles_simulated` — the window busy
+        cycles actually accrue over, including the drain after the last
+        process finishes — so every fraction is in [0, 1].
         """
-        if total_cycles is None:
-            total_cycles = self.cycles_simulated
+        total_cycles = self.cycles_simulated
         if total_cycles <= 0:
             return {}
         return {

@@ -424,7 +424,7 @@ def _refine(
 # ---------------------------------------------------------------------------
 
 
-def spare_link_variant(topology: Topology, name: Optional[str] = None) -> Topology:
+def spare_link_variant(topology: Topology) -> Topology:
     """A copy of ``topology`` with one spare link added per switch.
 
     Each switch (ascending id) gains one link to its nearest
@@ -445,7 +445,7 @@ def spare_link_variant(topology: Topology, name: Optional[str] = None) -> Topolo
         target = min(others, key=lambda t: (dist.get(t, float("inf")), t))
         net.add_link(s, target)
     return Topology(
-        name=name or f"{topology.name}+spare",
+        name=f"{topology.name}+spare",
         network=net,
         routing=ShortestPathRouting(net),
         coords=topology.coords,

@@ -15,36 +15,15 @@ byte-identical artifacts, and CI can diff them directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
-from repro.eval.serialize import (
-    canonical_json,
-    loadpoint_from_dict,
-    loadpoint_to_dict,
-)
+from repro.eval.serialize import canonical_json, loadpoint_to_dict
 from repro.simulator.openloop import LoadPoint
 
 #: Bump when the artifact layout changes incompatibly.
 #: Schema 2: every load point carries p50/p95/p99 latency percentiles.
 SWEEP_SCHEMA = 2
-
-
-def _check_schema(raw: dict, kind: str) -> int:
-    """Reject artifacts from other schema generations with a clear hint."""
-    schema = raw.get("schema")
-    if schema == SWEEP_SCHEMA:
-        return schema
-    hint = ""
-    if schema == 1:
-        hint = (
-            "; schema-1 artifacts predate the p50/p95/p99 latency "
-            "percentile fields — re-run the sweep to regenerate them"
-        )
-    raise SimulationError(
-        f"unsupported {kind} artifact schema {schema!r} "
-        f"(this build reads schema {SWEEP_SCHEMA}{hint})"
-    )
 
 
 @dataclass(frozen=True)
@@ -78,11 +57,10 @@ class SaturationCurve:
     saturation_throughput: float
     saturated: bool
     params: Dict[str, object]
-    schema: int = SWEEP_SCHEMA
 
     def to_dict(self) -> dict:
         return {
-            "schema": self.schema,
+            "schema": SWEEP_SCHEMA,
             "kind": "saturation-curve",
             "topology_name": self.topology_name,
             "pattern": self.pattern,
@@ -94,22 +72,6 @@ class SaturationCurve:
             "saturated": self.saturated,
             "params": dict(self.params),
         }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "SaturationCurve":
-        schema = _check_schema(raw, "saturation-curve")
-        return cls(
-            topology_name=raw["topology_name"],
-            pattern=raw["pattern"],
-            num_nodes=raw["num_nodes"],
-            seed=raw["seed"],
-            points=tuple(loadpoint_from_dict(p) for p in raw["points"]),
-            saturation_rate=raw["saturation_rate"],
-            saturation_throughput=raw["saturation_throughput"],
-            saturated=raw["saturated"],
-            params=dict(raw["params"]),
-            schema=schema,
-        )
 
     def to_json(self) -> str:
         """Canonical (byte-stable) JSON text of this curve."""
@@ -320,7 +282,6 @@ class SweepResult:
 
     label: str
     curves: Tuple[Tuple[str, str, SaturationCurve], ...]
-    schema: int = SWEEP_SCHEMA
 
     def curve(self, topology_label: str, pattern: str) -> SaturationCurve:
         found = self.find_curve(topology_label, pattern)
@@ -359,7 +320,7 @@ class SweepResult:
 
     def to_dict(self) -> dict:
         return {
-            "schema": self.schema,
+            "schema": SWEEP_SCHEMA,
             "kind": "sweep-result",
             "label": self.label,
             "curves": [
@@ -367,22 +328,6 @@ class SweepResult:
                 for top, pat, curve in self.curves
             ],
         }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "SweepResult":
-        schema = _check_schema(raw, "sweep-result")
-        return cls(
-            label=raw["label"],
-            curves=tuple(
-                (
-                    entry["topology"],
-                    entry["pattern"],
-                    SaturationCurve.from_dict(entry["curve"]),
-                )
-                for entry in raw["curves"]
-            ),
-            schema=schema,
-        )
 
     def to_json(self) -> str:
         return canonical_json(self.to_dict())

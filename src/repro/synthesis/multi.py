@@ -12,12 +12,11 @@ application crossing it.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Sequence
 
 from repro.errors import PatternError, SynthesisError
 from repro.model.message import Message
 from repro.model.pattern import CommunicationPattern
-from repro.synthesis.constraints import DesignConstraints
 from repro.synthesis.generator import GeneratedDesign, generate_network
 
 # Time gap inserted between consecutive applications' patterns so no
@@ -25,15 +24,13 @@ from repro.synthesis.generator import GeneratedDesign, generate_network
 _APP_GAP = 10.0
 
 
-def merge_patterns(
-    patterns: Sequence[CommunicationPattern],
-    name: str = "",
-) -> CommunicationPattern:
+def merge_patterns(patterns: Sequence[CommunicationPattern]) -> CommunicationPattern:
     """Concatenate patterns onto disjoint time ranges.
 
     All patterns must target the same processor count (relabel first if
     they do not).  The result's contention periods are exactly the
-    union of the inputs' periods.
+    union of the inputs' periods; its name joins the inputs' names
+    with ``+``.
     """
     if not patterns:
         raise PatternError("need at least one pattern to merge")
@@ -62,26 +59,25 @@ def merge_patterns(
     return CommunicationPattern(
         messages=tuple(messages),
         num_processes=patterns[0].num_processes,
-        name=name or "+".join(p.name for p in patterns),
+        name="+".join(p.name for p in patterns),
     )
 
 
 def generate_network_for_set(
     patterns: Iterable[CommunicationPattern],
-    constraints: Optional[DesignConstraints] = None,
     seed: int = 0,
     restarts: int = 16,
 ) -> GeneratedDesign:
-    """Synthesize one network serving every pattern contention-free.
+    """Synthesize one network serving every pattern contention-free,
+    under the default
+    :class:`~repro.synthesis.constraints.DesignConstraints`.
 
     The returned design's certificate covers the merged pattern; since
     the merge preserves each application's contention periods, the
     network is contention-free for each application individually.
     """
     merged = merge_patterns(list(patterns))
-    design = generate_network(
-        merged, constraints=constraints, seed=seed, restarts=restarts
-    )
+    design = generate_network(merged, seed=seed, restarts=restarts)
     if not design.certificate.contention_free:
         raise SynthesisError(
             f"merged design for {merged.name!r} failed its certificate: "

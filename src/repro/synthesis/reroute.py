@@ -30,22 +30,18 @@ def _objective(state: SynthesisState, constraints: DesignConstraints) -> Tuple[i
     return state.objective(constraints.max_degree)
 
 
-def reduce_degree_violations(
-    state: SynthesisState,
-    constraints: DesignConstraints,
-    max_rounds: int = 30,
-) -> int:
+def reduce_degree_violations(state: SynthesisState, constraints: DesignConstraints) -> int:
     """Greedy global rerouting until no move lowers the objective.
 
     In each round, every communication crossing a pipe of an over-budget
     switch tries (a) a detour through every other switch and (b) a
     shortcut that removes an intermediate switch from its path.  Moves
     are committed when they strictly lower (degree excess, total
-    links), so the loop terminates.  Returns the number of committed
-    moves.
+    links), so the loop terminates; it also stops after 30 rounds.
+    Returns the number of committed moves.
     """
     moves = 0
-    for _ in range(max_rounds):
+    for _ in range(30):
         violators = [
             s
             for s in state.switches
@@ -113,11 +109,7 @@ def _try_eliminate_pipe(
     return False
 
 
-def global_processor_moves(
-    state: SynthesisState,
-    constraints: DesignConstraints,
-    max_rounds: int = 10,
-) -> int:
+def global_processor_moves(state: SynthesisState, constraints: DesignConstraints) -> int:
     """Move processors off over-budget switches onto any other switch.
 
     A last-resort escape used when no violating switch can be split
@@ -125,11 +117,11 @@ def global_processor_moves(
     can relieve a port-starved switch.  Moving a switch's only
     processor is allowed — the switch then becomes a pure relay (or
     dies and is dropped at materialization).  Moves commit only when
-    they strictly lower (degree excess, total links).  Returns the
-    number of committed moves.
+    they strictly lower (degree excess, total links), for at most 10
+    rounds.  Returns the number of committed moves.
     """
     moves = 0
-    for _ in range(max_rounds):
+    for _ in range(10):
         violators = [
             s
             for s in state.switches

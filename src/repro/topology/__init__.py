@@ -3,7 +3,6 @@
 from repro.topology.builders import (
     Topology,
     crossbar,
-    fat_tree,
     fully_connected,
     grid_dims,
     mesh,
@@ -46,7 +45,6 @@ __all__ = [
     "check_routes_valid",
     "crossbar",
     "degree_report",
-    "fat_tree",
     "ejection_resource",
     "fully_connected",
     "grid_dims",

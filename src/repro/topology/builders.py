@@ -9,7 +9,7 @@ included as additional baselines.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.errors import TopologyError
@@ -177,73 +177,6 @@ def fully_connected(num_processors: int) -> Topology:
         coords=None,
         kind="fully",
     )
-
-
-def fat_tree(
-    num_processors: int, leaf_size: int = 4, num_spines: int = 2
-) -> Topology:
-    """A two-level fat tree (folded Clos): leaves host the processors,
-    every leaf links to every spine.
-
-    The paper names fat trees among the commonly used switched
-    topologies; this builder provides the baseline.  Routing is
-    deterministic up-down: source-leaf -> spine chosen by
-    ``(src + dst) % num_spines`` -> destination leaf, so Definition 6's
-    single-path requirement holds.
-    """
-    if num_processors < 2:
-        raise TopologyError("a fat tree needs at least two processors")
-    if leaf_size < 1 or num_spines < 1:
-        raise TopologyError("leaf_size and num_spines must be positive")
-    num_leaves = (num_processors + leaf_size - 1) // leaf_size
-    if num_leaves < 2:
-        raise TopologyError(
-            "fat tree degenerates to one leaf; use crossbar() instead"
-        )
-    net = Network(num_processors)
-    leaves = [net.add_switch() for _ in range(num_leaves)]
-    spines = [net.add_switch() for _ in range(num_spines)]
-    for p in range(num_processors):
-        net.attach_processor(p, leaves[p // leaf_size])
-    up_links = {}
-    for li, leaf in enumerate(leaves):
-        for si, spine in enumerate(spines):
-            up_links[(li, si)] = net.add_link(leaf, spine)
-    routing = _FatTreeRouting(net, leaves, spines, leaf_size)
-    return Topology(
-        name=f"fattree-{num_processors}x{num_leaves}l{num_spines}s",
-        network=net,
-        routing=routing,
-        coords=None,
-        kind="fattree",
-    )
-
-
-class _FatTreeRouting(ShortestPathRouting):
-    """Deterministic up-down routing with spine selection by flow hash."""
-
-    def __init__(self, network: Network, leaves, spines, leaf_size: int) -> None:
-        super().__init__(network)
-        self._leaves = list(leaves)
-        self._spines = list(spines)
-        self._leaf_size = leaf_size
-
-    def route(self, comm):
-        from repro.topology.routing import make_route
-
-        cached = self._cache.get(comm)
-        if cached is not None:
-            return cached
-        src_leaf = self._network.switch_of(comm.source)
-        dst_leaf = self._network.switch_of(comm.dest)
-        if src_leaf == dst_leaf:
-            path = (src_leaf,)
-        else:
-            spine = self._spines[(comm.source + comm.dest) % len(self._spines)]
-            path = (src_leaf, spine, dst_leaf)
-        r = make_route(self._network, comm, path)
-        self._cache[comm] = r
-        return r
 
 
 def mesh_for(num_processors: int) -> Topology:

@@ -26,7 +26,6 @@ from repro.verify.certificate import (
     Finding,
     NetworkCertificate,
     VerificationError,
-    certificate_from_dict,
 )
 from repro.verify.dynamic import (
     ReplayReport,
@@ -58,7 +57,6 @@ __all__ = [
     "VerificationError",
     "build_cdg",
     "cdg_node_key",
-    "certificate_from_dict",
     "certify",
     "classifier_for",
     "cross_validate",

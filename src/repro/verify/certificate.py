@@ -89,7 +89,6 @@ class NetworkCertificate:
     num_switches: int
     num_links: int
     findings: Tuple[Finding, ...]
-    schema_version: int = CERTIFICATE_SCHEMA
 
     def finding(self, name: str) -> Finding:
         for f in self.findings:
@@ -134,7 +133,7 @@ class NetworkCertificate:
 
     def to_dict(self) -> Dict:
         return {
-            "schema_version": self.schema_version,
+            "schema_version": CERTIFICATE_SCHEMA,
             "topology_name": self.topology_name,
             "topology_kind": self.topology_kind,
             "pattern_name": self.pattern_name,
@@ -163,34 +162,6 @@ class NetworkCertificate:
                 for row in _render_witness(f.witness):
                     lines.append(f"         {row}")
         return "\n".join(lines)
-
-
-def certificate_from_dict(raw: Dict) -> NetworkCertificate:
-    """Invert :meth:`NetworkCertificate.to_dict` (for archived artifacts)."""
-    if raw.get("schema_version") != CERTIFICATE_SCHEMA:
-        raise VerificationError(
-            f"unsupported certificate schema {raw.get('schema_version')!r} "
-            f"(expected {CERTIFICATE_SCHEMA})"
-        )
-    return NetworkCertificate(
-        topology_name=raw["topology_name"],
-        topology_kind=raw["topology_kind"],
-        pattern_name=raw["pattern_name"],
-        num_processors=raw["num_processors"],
-        num_switches=raw["num_switches"],
-        num_links=raw["num_links"],
-        findings=tuple(
-            Finding(
-                name=f["name"],
-                status=f["status"],
-                summary=f["summary"],
-                details=f["details"],
-                witness=f["witness"],
-            )
-            for f in raw["findings"]
-        ),
-        schema_version=raw["schema_version"],
-    )
 
 
 def _render_witness(witness: Dict) -> list:

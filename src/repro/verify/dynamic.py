@@ -34,7 +34,6 @@ from repro.errors import SimulationError
 from repro.model.pattern import CommunicationPattern
 from repro.simulator.config import SimConfig
 from repro.simulator.engine import Engine
-from repro.simulator.routing import SimRouting
 from repro.simulator.simulation import routing_policy_for
 from repro.topology.builders import Topology
 from repro.verify.certificate import NetworkCertificate
@@ -111,17 +110,11 @@ def replay_pattern(
     pattern: CommunicationPattern,
     config: Optional[SimConfig] = None,
     link_delays: Optional[Dict[int, int]] = None,
-    routing: Optional[SimRouting] = None,
 ) -> ReplayReport:
     """Inject the pattern's messages at schedule-preserving times and
     run the engine until the network drains."""
     config = config or SimConfig()
-    engine = Engine(
-        topology,
-        routing or routing_policy_for(topology),
-        config,
-        link_delays=link_delays,
-    )
+    engine = Engine(topology, routing_policy_for(topology), config, link_delays=link_delays)
     max_hops = _max_route_hops(topology, pattern)
     max_delay = max(link_delays.values()) if link_delays else 1
     scale = injection_scale(pattern, config, max_hops, max_delay)
@@ -160,7 +153,6 @@ def cross_validate(
     certificate: NetworkCertificate,
     topology: Topology,
     pattern: CommunicationPattern,
-    config: Optional[SimConfig] = None,
     link_delays: Optional[Dict[int, int]] = None,
 ) -> Tuple[ReplayReport, List[str]]:
     """Replay the pattern and compare the engine against the certificate.
@@ -169,7 +161,7 @@ def cross_validate(
     descriptions from :func:`replay_mismatches` (empty when the static
     and dynamic views agree).
     """
-    report = replay_pattern(topology, pattern, config=config, link_delays=link_delays)
+    report = replay_pattern(topology, pattern, link_delays=link_delays)
     return report, replay_mismatches(certificate, report)
 
 

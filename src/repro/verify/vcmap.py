@@ -7,7 +7,7 @@ then lives over ``(channel, class)`` pairs.  Two disciplines cover the
 repo's topologies:
 
 * :class:`SingleClass` — all VCs equivalent (source-routed generated
-  networks, meshes, crossbars, fat trees).  Deadlock freedom must then
+  networks, meshes, crossbars).  Deadlock freedom must then
   come from the routes themselves.
 * :class:`DatelineClasses` — the classic dateline discipline for
   wraparound (torus) dimension-order routing: a packet starts in class

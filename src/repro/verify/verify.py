@@ -1,7 +1,7 @@
 """Static network certification (the ``repro verify`` pass).
 
 :func:`certify` takes any routed network — synthesized, mesh, torus,
-crossbar, fat tree — plus the workload pattern it must carry and
+crossbar — plus the workload pattern it must carry and
 produces a :class:`~repro.verify.certificate.NetworkCertificate` with
 five named findings:
 
@@ -27,7 +27,7 @@ five named findings:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import RoutingError, TopologyError
 from repro.eval.serialize import encode_resource

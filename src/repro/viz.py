@@ -2,18 +2,16 @@
 
 Everything here renders to plain text so the library stays
 dependency-free: pattern timelines in the style of the paper's
-Figure 1, adjacency matrices for networks, and link-utilization tables
-for simulation results.
+Figure 1 and source x destination traffic matrices, the two views
+``repro inspect`` prints.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict
 
 from repro.model.cliques import contention_periods
 from repro.model.pattern import CommunicationPattern
-from repro.simulator.stats import SimulationResult
-from repro.topology.network import Network
 
 
 def render_pattern_timeline(
@@ -42,40 +40,6 @@ def render_pattern_timeline(
         lines.append(f"... {len(msgs) - max_rows} more messages")
     periods = contention_periods(pattern)
     lines.append(f"{len(periods)} contention periods")
-    return "\n".join(lines)
-
-
-def render_adjacency_matrix(network: Network) -> str:
-    """Switch adjacency matrix; cells hold parallel-link counts."""
-    switches = network.switches
-    head = "     " + " ".join(f"S{s:<3}" for s in switches)
-    lines = [head]
-    for u in switches:
-        row = []
-        for v in switches:
-            if u == v:
-                row.append("  . ")
-            else:
-                n = len(network.links_between(u, v))
-                row.append(f"{n:>3} " if n else "  - ")
-        procs = ",".join(str(p) for p in sorted(network.processors_of(u)))
-        lines.append(f"S{u:<3} " + "".join(row) + f"  [{procs}]")
-    return "\n".join(lines)
-
-
-def render_link_utilization(
-    result: SimulationResult, top: int = 10
-) -> str:
-    """The hottest channels of a finished simulation."""
-    items = sorted(
-        result.link_utilization.items(), key=lambda kv: kv[1], reverse=True
-    )[:top]
-    if not items:
-        return "(no traffic)"
-    lines = [f"hottest channels of {result.program_name} on {result.topology_name}:"]
-    for cid, util in items:
-        bar = "#" * int(util * 40)
-        lines.append(f"  {str(cid):>18} {100 * util:5.1f}% |{bar}")
     return "\n".join(lines)
 
 

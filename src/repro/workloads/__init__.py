@@ -8,10 +8,7 @@ from repro.workloads.analyzer import (
 )
 from repro.workloads.collectives import (
     binomial_broadcast,
-    diagonal_shift,
-    grid_neighbor_shift,
     pairwise_exchange,
-    recursive_doubling,
     recursive_halving_reduce,
     shifted_all_to_all,
     transpose_exchange,
@@ -28,22 +25,16 @@ from repro.workloads.nas import (
     BENCHMARK_NAMES,
     PAPER_LARGE_SIZE,
     PAPER_SMALL_SIZES,
-    SCALED_SIZES,
     Benchmark,
     benchmark,
     bt,
     cg,
     fft,
     mg,
-    paper_suite,
-    scaled_suite,
+    paper_sizes,
     sp,
 )
-from repro.workloads.synthetic import (
-    hotspot_pattern,
-    neighbor_ring_pattern,
-    random_permutation_pattern,
-)
+from repro.workloads.synthetic import random_permutation_pattern
 from repro.workloads.trace import (
     Trace,
     TraceRecord,
@@ -62,7 +53,6 @@ __all__ = [
     "PhaseProgramBuilder",
     "Program",
     "RecvEvent",
-    "SCALED_SIZES",
     "SendEvent",
     "Trace",
     "TraceRecord",
@@ -72,20 +62,14 @@ __all__ = [
     "cg",
     "check_trace_consistent",
     "contention_periods_of",
-    "diagonal_shift",
     "extract_pattern",
     "fft",
-    "grid_neighbor_shift",
-    "hotspot_pattern",
     "mg",
-    "neighbor_ring_pattern",
     "pairwise_exchange",
-    "paper_suite",
+    "paper_sizes",
     "random_permutation_pattern",
     "read_trace",
-    "recursive_doubling",
     "recursive_halving_reduce",
-    "scaled_suite",
     "shifted_all_to_all",
     "sp",
     "trace_program",

@@ -35,23 +35,6 @@ def pairwise_exchange(group: Sequence[int], distance: int) -> Phase:
     return phase
 
 
-def recursive_doubling(group: Sequence[int]) -> List[Phase]:
-    """All-reduce by recursive doubling: log2 rounds of XOR exchanges.
-
-    Requires a power-of-two group size.
-    """
-    _require_group(group)
-    n = len(group)
-    if n & (n - 1):
-        raise WorkloadError(f"recursive doubling needs a power-of-two group, got {n}")
-    phases = []
-    distance = 1
-    while distance < n:
-        phases.append(pairwise_exchange(group, distance))
-        distance *= 2
-    return phases
-
-
 def recursive_halving_reduce(group: Sequence[int]) -> List[Phase]:
     """Reduce to ``group[0]``: each round the upper half sends down."""
     _require_group(group)
@@ -102,10 +85,10 @@ def shifted_all_to_all(group: Sequence[int]) -> List[Phase]:
     return phases
 
 
-def transpose_exchange(rows: int, cols: int, base: int = 0) -> Phase:
+def transpose_exchange(rows: int, cols: int) -> Phase:
     """Matrix-transpose exchange over a ``rows x cols`` process grid.
 
-    Processor ``(r, c)`` (id ``base + r*cols + c``) exchanges with the
+    Processor ``(r, c)`` (id ``r*cols + c``) exchanges with the
     transposed flattened index — for square grids the paper's CG
     transpose; for ``cols == 2*rows`` the NAS CG layout's exchange.
     """
@@ -116,52 +99,5 @@ def transpose_exchange(rows: int, cols: int, base: int = 0) -> Phase:
     for me in range(n):
         partner = (me % rows) * cols + me // rows
         if partner != me:
-            phase.append((base + me, base + partner))
-    return phase
-
-
-def grid_neighbor_shift(
-    rows: int, cols: int, axis: str, step: int, wrap: bool = True, base: int = 0
-) -> Phase:
-    """Every process sends to its grid neighbour ``step`` away on ``axis``.
-
-    With ``wrap`` the shift is cyclic (a full permutation); without it,
-    border processes with no neighbour stay silent (partial
-    permutation).
-    """
-    if axis not in ("x", "y"):
-        raise WorkloadError(f"axis must be 'x' or 'y', got {axis!r}")
-    phase: Phase = []
-    for r in range(rows):
-        for c in range(cols):
-            if axis == "x":
-                nc, nr = c + step, r
-                if wrap:
-                    nc %= cols
-                elif not 0 <= nc < cols:
-                    continue
-            else:
-                nc, nr = c, r + step
-                if wrap:
-                    nr %= rows
-                elif not 0 <= nr < rows:
-                    continue
-            src = base + r * cols + c
-            dst = base + nr * cols + nc
-            if src != dst:
-                phase.append((src, dst))
-    return phase
-
-
-def diagonal_shift(rows: int, cols: int, step: int = 1, base: int = 0) -> Phase:
-    """Cyclic shift along the grid diagonal (used by the BT/SP sweeps)."""
-    phase: Phase = []
-    for r in range(rows):
-        for c in range(cols):
-            nr = (r + step) % rows
-            nc = (c + step) % cols
-            src = base + r * cols + c
-            dst = base + nr * cols + nc
-            if src != dst:
-                phase.append((src, dst))
+            phase.append((me, partner))
     return phase

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.errors import WorkloadError
 from repro.model.pattern import CommunicationPattern
@@ -53,12 +53,18 @@ BENCHMARK_NAMES = ("bt", "cg", "fft", "mg", "sp")
 PAPER_SMALL_SIZES: Dict[str, int] = {"bt": 9, "cg": 8, "fft": 8, "mg": 8, "sp": 9}
 PAPER_LARGE_SIZE = 16
 
-# Synthetic scaling beyond the paper's 16-node evaluation (the ROADMAP
-# 64-256-node target).  Both sizes satisfy every builder's shape
-# requirement: perfect squares for BT/SP, powers of two for the rest.
-SCALED_SIZES: Tuple[int, ...] = (64, 256)
+# Per-process compute jitter of every benchmark (a fraction of each
+# compute block).
+_JITTER = 0.08
 
-_DEFAULT_JITTER = 0.08
+
+def paper_sizes(size: str) -> Dict[str, int]:
+    """Benchmark name -> process count for "small" (8/9) or "large" (16)."""
+    if size == "small":
+        return dict(PAPER_SMALL_SIZES)
+    if size == "large":
+        return {name: PAPER_LARGE_SIZE for name in BENCHMARK_NAMES}
+    raise WorkloadError(f"size must be 'small' or 'large', got {size!r}")
 
 
 @dataclass(frozen=True)
@@ -117,18 +123,12 @@ def _compute_per_phase(base: int, n: int) -> int:
     return max(1, base * PAPER_LARGE_SIZE // n)
 
 
-def cg(
-    n: int,
-    iterations: int = 3,
-    message_bytes: int = 4096,
-    compute_base: int = 1000,
-    jitter: float = _DEFAULT_JITTER,
-    seed: int = 0,
-) -> Benchmark:
+def cg(n: int, iterations: int = 3) -> Benchmark:
     """Conjugate Gradient: row reductions plus transpose exchange."""
     rows, cols = _pow2_grid(n)
-    builder = PhaseProgramBuilder(n, f"cg-{n}", jitter=jitter, seed=seed)
-    compute = _compute_per_phase(compute_base, n)
+    builder = PhaseProgramBuilder(n, f"cg-{n}", jitter=_JITTER)
+    compute = _compute_per_phase(1000, n)
+    message_bytes = 4096
     row_groups = _rows_of(rows, cols)
     for it in range(iterations):
         distance = 1
@@ -149,18 +149,12 @@ def cg(
     return _finish(f"cg-{n}", builder, (rows, cols))
 
 
-def fft(
-    n: int,
-    iterations: int = 2,
-    message_bytes: int = 2048,
-    compute_base: int = 1800,
-    jitter: float = _DEFAULT_JITTER,
-    seed: int = 0,
-) -> Benchmark:
+def fft(n: int, iterations: int = 2) -> Benchmark:
     """3-D FFT with 2-D blocking: row then column all-to-all."""
     rows, cols = _pow2_grid(n)
-    builder = PhaseProgramBuilder(n, f"fft-{n}", jitter=jitter, seed=seed)
-    compute = _compute_per_phase(compute_base, n)
+    builder = PhaseProgramBuilder(n, f"fft-{n}", jitter=_JITTER)
+    compute = _compute_per_phase(1800, n)
+    message_bytes = 2048
     row_groups = _rows_of(rows, cols)
     col_groups = _cols_of(rows, cols)
     for it in range(iterations):
@@ -187,24 +181,21 @@ def fft(
     return _finish(f"fft-{n}", builder, (rows, cols))
 
 
-def mg(
-    n: int,
-    iterations: int = 2,
-    finest_bytes: int = 512,
-    collective_bytes: int = 64,
-    levels: int = 3,
-    compute_base: int = 2200,
-    jitter: float = _DEFAULT_JITTER,
-    seed: int = 0,
-) -> Benchmark:
-    """Multi-Grid: per-level boundary exchanges + reduction/broadcast."""
+def mg(n: int) -> Benchmark:
+    """Multi-Grid: per-level boundary exchanges + reduction/broadcast.
+
+    Two iterations of a three-level V-cycle.  Boundary messages are 512
+    bytes on the finest level and shrink 4x per level, but never below
+    the 64 bytes of the reduction and broadcast messages.
+    """
     rows, cols = _pow2_grid(n)
-    builder = PhaseProgramBuilder(n, f"mg-{n}", jitter=jitter, seed=seed)
-    compute = _compute_per_phase(compute_base, n)
+    builder = PhaseProgramBuilder(n, f"mg-{n}", jitter=_JITTER)
+    compute = _compute_per_phase(2200, n)
+    collective_bytes = 64
     everyone = list(range(n))
-    for it in range(iterations):
-        size = finest_bytes
-        for level in range(levels):
+    for it in range(2):
+        size = 512
+        for level in range(3):
             # Boundary exchange at this level: only every 2^level-th
             # process row/column stays active (grid coarsening), and
             # each active row exchanges as its own period (rows proceed
@@ -267,13 +258,7 @@ def mg(
 
 
 def _adi_sweeps(
-    name: str,
-    n: int,
-    iterations: int,
-    message_bytes: int,
-    compute_base: int,
-    jitter: float,
-    seed: int,
+    name: str, n: int, iterations: int, message_bytes: int, compute_base: int
 ) -> Benchmark:
     """Shared BT/SP generator: pipelined ADI sweeps along x, y and the
     diagonal, forward and backward.
@@ -285,7 +270,7 @@ def _adi_sweeps(
     the data dependencies enforce at run time as well.
     """
     rows, cols = _square_grid(n)
-    builder = PhaseProgramBuilder(n, f"{name}-{n}", jitter=jitter, seed=seed)
+    builder = PhaseProgramBuilder(n, f"{name}-{n}", jitter=_JITTER)
     compute = _compute_per_phase(compute_base, n)
 
     def x_sweep(direction: int):
@@ -387,34 +372,21 @@ def _adi_sweeps(
     return _finish(f"{name}-{n}", builder, (rows, cols))
 
 
-def bt(
-    n: int,
-    iterations: int = 2,
-    message_bytes: int = 2048,
-    compute_base: int = 1200,
-    jitter: float = _DEFAULT_JITTER,
-    seed: int = 0,
-) -> Benchmark:
+def bt(n: int, iterations: int = 2) -> Benchmark:
     """Block-Tridiagonal solver (ADI sweeps, large messages)."""
-    return _adi_sweeps("bt", n, iterations, message_bytes, compute_base, jitter, seed)
+    return _adi_sweeps("bt", n, iterations, message_bytes=2048, compute_base=1200)
 
 
-def sp(
-    n: int,
-    iterations: int = 3,
-    message_bytes: int = 1024,
-    compute_base: int = 1000,
-    jitter: float = _DEFAULT_JITTER,
-    seed: int = 0,
-) -> Benchmark:
-    """Scalar-Pentadiagonal solver (same sweeps, smaller messages)."""
-    return _adi_sweeps("sp", n, iterations, message_bytes, compute_base, jitter, seed)
+def sp(n: int) -> Benchmark:
+    """Scalar-Pentadiagonal solver (same sweeps, smaller messages, three
+    iterations)."""
+    return _adi_sweeps("sp", n, iterations=3, message_bytes=1024, compute_base=1000)
 
 
 _BUILDERS = {"bt": bt, "cg": cg, "fft": fft, "mg": mg, "sp": sp}
 
 
-def benchmark(name: str, n: int, **kwargs) -> Benchmark:
+def benchmark(name: str, n: int) -> Benchmark:
     """Build a benchmark by name ("bt", "cg", "fft", "mg", "sp")."""
     try:
         build = _BUILDERS[name.lower()]
@@ -422,27 +394,4 @@ def benchmark(name: str, n: int, **kwargs) -> Benchmark:
         raise WorkloadError(
             f"unknown benchmark {name!r}; choose from {sorted(_BUILDERS)}"
         ) from None
-    return build(n, **kwargs)
-
-
-def paper_suite(size: str = "small") -> Dict[str, Benchmark]:
-    """The paper's benchmark suite at its 8/9-node or 16-node sizes."""
-    if size == "small":
-        return {name: benchmark(name, PAPER_SMALL_SIZES[name]) for name in BENCHMARK_NAMES}
-    if size == "large":
-        return {name: benchmark(name, PAPER_LARGE_SIZE) for name in BENCHMARK_NAMES}
-    raise WorkloadError(f"size must be 'small' or 'large', got {size!r}")
-
-
-def scaled_suite(n: int = 64) -> Dict[str, Benchmark]:
-    """The suite synthetically scaled past the paper's evaluation.
-
-    The phase-program builders parameterize cleanly in ``n``, so the
-    scaled corpus is the same five benchmarks at 64 or 256 processes —
-    both perfect squares (BT/SP) and powers of two (CG/FFT/MG).  These
-    are the sizes the ROADMAP's 64-256-node synthesis target and the
-    portfolio benches measure against.
-    """
-    if n not in SCALED_SIZES:
-        raise WorkloadError(f"scaled suite sizes are {SCALED_SIZES}, got {n}")
-    return {name: benchmark(name, n) for name in BENCHMARK_NAMES}
+    return build(n)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, List, Tuple, Union
+from typing import List, Tuple, Union
 
 from repro.errors import WorkloadError
 from repro.workloads.events import ComputeEvent, Program, RecvEvent, SendEvent
@@ -118,28 +118,42 @@ def write_trace(trace: Trace, path: Union[str, Path]) -> None:
             )
 
 
+_HEADER_FIELDS = ("name", "num_processes")
+# TraceRecord's fields, in declaration order.
+_RECORD_FIELDS = ("process", "op", "peer", "size_bytes", "tag")
+
+
+def _line_fields(path: Path, number: int, line: str, names: Tuple[str, ...]) -> list:
+    """The values of ``names`` in one JSON line, in that order."""
+    try:
+        raw = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise WorkloadError(f"{path} line {number} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise WorkloadError(f"{path} line {number} is not a JSON object")
+    missing = [name for name in names if name not in raw]
+    if missing:
+        raise WorkloadError(f"{path} line {number} lacks {', '.join(missing)}")
+    return [raw[name] for name in names]
+
+
 def read_trace(path: Union[str, Path]) -> Trace:
-    """Read a trace written by :func:`write_trace`."""
+    """Read a trace written by :func:`write_trace`.
+
+    A line that is not a JSON object, or that lacks a field, raises
+    :class:`WorkloadError` naming the file and the line number.
+    """
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
-        lines = [line for line in fh if line.strip()]
+        lines = [(number, line) for number, line in enumerate(fh, start=1) if line.strip()]
     if not lines:
         raise WorkloadError(f"trace file {path} is empty")
-    header = json.loads(lines[0])
+    name, num_processes = _line_fields(path, *lines[0], _HEADER_FIELDS)
     records = []
-    for line in lines[1:]:
-        raw = json.loads(line)
-        records.append(
-            TraceRecord(
-                process=raw["process"],
-                op=raw["op"],
-                peer=raw["peer"],
-                size_bytes=raw["size_bytes"],
-                tag=raw["tag"],
-            )
-        )
-    return Trace(
-        name=header["name"],
-        num_processes=header["num_processes"],
-        records=tuple(records),
-    )
+    for number, line in lines[1:]:
+        fields = _line_fields(path, number, line, _RECORD_FIELDS)
+        try:
+            records.append(TraceRecord(*fields))
+        except WorkloadError as exc:
+            raise WorkloadError(f"{path} line {number}: {exc}") from exc
+    return Trace(name=name, num_processes=num_processes, records=tuple(records))

@@ -182,8 +182,24 @@ class TestCacheKeys:
             lambda p: _edit_design(p, "routes", 0, p["design"]["routes"][0][:3]),
             # A link to a switch the network does not have: TopologyError.
             lambda p: _edit_design(p, "links", 0, [0, p["design"]["num_switches"]]),
+            # Well-formed floorplan values that contradict the design.
+            lambda p: _edit_floorplan(p, "switch_corner", p["floorplan"]["switch_corner"][:-1]),
+            lambda p: _edit_floorplan(p, "link_costs", _stretched_link(p)),
+            lambda p: _edit_floorplan(p, "feasible", not p["floorplan"]["feasible"]),
+            lambda p: _edit_floorplan(p, "processor_cell", _shared_tile(p)),
         ],
-        ids=["torn", "not-a-setup", "no-design", "other-pattern", "cut-route", "missing-switch"],
+        ids=[
+            "torn",
+            "not-a-setup",
+            "no-design",
+            "other-pattern",
+            "cut-route",
+            "missing-switch",
+            "corner-missing",
+            "link-cost",
+            "feasible-flag",
+            "shared-tile",
+        ],
     )
     def test_unusable_setup_entry_is_a_dropped_miss(self, setup, tmp_path, corrupt):
         """An entry that does not decode to the task's setup is rebuilt
@@ -203,6 +219,30 @@ def _edit_design(payload, field, index, record):
     """The entry text of ``payload`` with one design record replaced."""
     payload["design"][field][index] = record
     return canonical_json(payload)
+
+
+def _edit_floorplan(payload, field, value):
+    """The entry text of ``payload`` with one floorplan field replaced."""
+    payload["floorplan"][field] = value
+    return canonical_json(payload)
+
+
+def _stretched_link(payload):
+    """``link_costs`` with the first link's cost three tiles too high."""
+    (link, cost), *rest = payload["floorplan"]["link_costs"]
+    return [[link, cost + 3], *rest]
+
+
+def _shared_tile(payload):
+    """``processor_cell`` with one processor moved onto the tile of another
+    processor of its switch, so every tile still touches its corner."""
+    switch_of = payload["design"]["processors"]
+    cells = {p: [i, j] for p, i, j in payload["floorplan"]["processor_cell"]}
+    a, b = next(
+        (a, b) for a in cells for b in cells if a < b and switch_of[a] == switch_of[b]
+    )
+    cells[a] = cells[b]
+    return [[p, i, j] for p, (i, j) in cells.items()]
 
 
 class TestResilienceDeterminism:

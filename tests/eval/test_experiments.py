@@ -2,12 +2,14 @@
 
 import pytest
 
+from repro.errors import WorkloadError
 from repro.eval import (
     TOPOLOGY_ORDER,
     PerformanceCell,
     cross_workload_table,
     figure7_rows,
     figure7_table,
+    figure8_rows,
     figure8_table,
     paper_sizes,
     prepare,
@@ -50,6 +52,13 @@ class TestPaperSizes:
 
     def test_large_sizes(self):
         assert set(paper_sizes("large").values()) == {16}
+
+    @pytest.mark.parametrize(
+        "build", [paper_sizes, figure7_rows, figure8_rows], ids=lambda f: f.__name__
+    )
+    def test_unknown_size_raises(self, build):
+        with pytest.raises(WorkloadError, match="size must be 'small' or 'large', got 'medium'"):
+            build("medium")
 
 
 class TestPrepare:

@@ -26,7 +26,7 @@ from repro.eval.parallel import (
     run_cells,
 )
 from repro.eval.serialize import canonical_json
-from repro.faults import single_link_scenarios
+from repro.faults import build_campaign
 from repro.simulator import SimConfig
 from repro.synthesis.portfolio import PortfolioConfig, portfolio_cells, synthesize_portfolio
 from repro.topology import mesh, torus
@@ -107,7 +107,7 @@ class TestBatchKeysEqualSoloKeys:
         topology = cg8.topology("torus")
         delays = cg8.link_delays("torus")
         program = cg8.benchmark.program
-        scenarios = single_link_scenarios(topology.network)[:3]
+        scenarios = build_campaign(topology.network)[:3]
         seen = []
         run_resilience(
             program, topology, scenarios, link_delays=delays, progress=_collect(seen)

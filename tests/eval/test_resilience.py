@@ -10,7 +10,7 @@ delivered.
 import pytest
 
 from repro.eval import prepare, resilience_table, run_resilience
-from repro.faults import FaultScenario, LinkFault, single_link_scenarios
+from repro.faults import FaultScenario, LinkFault, build_campaign
 from repro.model import Communication
 from repro.simulator import SimConfig
 from repro.workloads import benchmark
@@ -26,7 +26,7 @@ def _single_link_report(setup, kind, **kw):
     return run_resilience(
         setup.benchmark.program,
         topology,
-        single_link_scenarios(topology.network),
+        build_campaign(topology.network),
         link_delays=setup.link_delays(kind),
         **kw,
     )

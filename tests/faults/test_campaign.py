@@ -8,8 +8,6 @@ from repro.faults import (
     LinkFault,
     SwitchFault,
     build_campaign,
-    single_link_scenarios,
-    single_switch_scenarios,
 )
 from repro.topology import mesh
 
@@ -33,20 +31,20 @@ class TestSpecValidation:
 
 class TestEnumeration:
     def test_one_scenario_per_link(self):
-        scenarios = single_link_scenarios(NET)
+        scenarios = build_campaign(NET, CampaignSpec(kinds=("link",)))
         assert len(scenarios) == len(NET.links)
         assert [s.faults for s in scenarios] == [
             (LinkFault(link.link_id),) for link in NET.links
         ]
 
     def test_one_scenario_per_switch(self):
-        scenarios = single_switch_scenarios(NET)
+        scenarios = build_campaign(NET, CampaignSpec(kinds=("switch",)))
         assert [s.faults for s in scenarios] == [
             (SwitchFault(s),) for s in NET.switches
         ]
 
     def test_build_campaign_defaults_to_single_link(self):
-        assert build_campaign(NET) == single_link_scenarios(NET)
+        assert build_campaign(NET) == build_campaign(NET, CampaignSpec(kinds=("link",)))
 
     def test_both_kinds_links_first(self):
         campaign = build_campaign(NET, CampaignSpec(kinds=("link", "switch")))

@@ -5,7 +5,6 @@ from repro.faults import (
     LinkFault,
     SwitchFault,
     all_pairs,
-    dead_resources,
     repair_routes,
 )
 from repro.model import Communication
@@ -104,9 +103,8 @@ class TestSwitchFaultRepair:
     def test_transient_faults_skipped_by_default(self):
         top = mesh(2, 2)
         scenario = FaultScenario.of(LinkFault(0, start=10, end=20))
-        links, switches = dead_resources(scenario)
-        assert not links and not switches
         result = repair_routes(top, scenario)
         assert not result.rerouted and not result.disconnected
-        links, _ = dead_resources(scenario, include_transient=True)
-        assert links == frozenset({0})
+        assert not result.dead_link_ids and not result.dead_switch_ids
+        mixed = FaultScenario.of(LinkFault(0, start=10, end=20), LinkFault(1))
+        assert repair_routes(top, mixed).dead_link_ids == frozenset({1})

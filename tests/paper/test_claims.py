@@ -30,7 +30,7 @@ from repro.eval import (
     run_resilience,
 )
 from repro.eval.power import estimate_energy
-from repro.faults import repair_routes, single_link_scenarios
+from repro.faults import build_campaign, repair_routes
 from repro.model import CliqueAnalysis
 from repro.simulator import SimConfig
 from repro.simulator.openloop import run_open_loop
@@ -348,7 +348,7 @@ class TestResilience:
         pairs = setup.benchmark.program.communication_pairs()
         return [
             (scenario, repair_routes(topology, scenario, pairs=pairs))
-            for scenario in single_link_scenarios(topology.network)
+            for scenario in build_campaign(topology.network)
         ]
 
     def test_mesh_stays_connected(self):

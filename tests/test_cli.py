@@ -62,6 +62,29 @@ class TestSynthesizeCommand:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "lines, bad_line",
+        [
+            (
+                [
+                    '{"name": "t", "num_processes": 2}',
+                    '{"process": 0, "op": "send", "size_bytes": 8, "tag": "a"}',
+                ],
+                2,
+            ),
+            (['{"name": "t", "num_processes": 2}', "", "not json"], 3),
+        ],
+        ids=["record-without-peer", "line-not-json"],
+    )
+    def test_malformed_trace_names_the_line(self, tmp_path, capsys, lines, bad_line):
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        rc = main(["synthesize", "--trace", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:")
+        assert f"{path} line {bad_line}" in err
+
 
 class TestPortfolioSynthesis:
     def test_parser_defaults(self):
@@ -135,6 +158,24 @@ class TestSimulateCommand:
         assert rc == 0
         assert "cg-8 on mesh" in out
         assert "deadlocks" in out
+
+
+class TestSampleEvery:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["profile", "--benchmark", "cg", "--nodes", "8", "--no-cache", "--sample-every", "0"],
+            [
+                "simulate", "--benchmark", "cg", "--nodes", "8", "--topology", "mesh",
+                "--metrics-out", "m.json", "--sample-every", "-1",
+            ],
+        ],
+        ids=["profile-zero", "simulate-negative"],
+    )
+    def test_non_positive_value_fails_by_name(self, argv, tmp_path, capsys):
+        rc = main([str(tmp_path / a) if a == "m.json" else a for a in argv])
+        assert rc == 1
+        assert "error: sample_every must be positive" in capsys.readouterr().err
 
 
 class TestInfeasibleSynthesis:

@@ -1,13 +1,26 @@
 """The top-level package exposes the documented public API and the
 README quickstart flow works verbatim."""
 
+import importlib
+import pkgutil
+
+import pytest
+
 import repro
+
+SUBPACKAGES = sorted(m.name for m in pkgutil.iter_modules(repro.__path__) if m.ispkg)
 
 
 class TestPublicApi:
     def test_all_names_resolve(self):
         for name in repro.__all__:
             assert hasattr(repro, name), name
+
+    @pytest.mark.parametrize("subpackage", SUBPACKAGES)
+    def test_subpackage_names_resolve(self, subpackage):
+        module = importlib.import_module(f"repro.{subpackage}")
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert not missing
 
     def test_version(self):
         assert repro.__version__

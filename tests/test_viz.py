@@ -1,15 +1,7 @@
 """Tests for the ASCII visualization helpers."""
 
 from repro.model import CommunicationPattern
-from repro.simulator import SimConfig, simulate
-from repro.topology import mesh
-from repro.viz import (
-    render_adjacency_matrix,
-    render_comm_matrix,
-    render_link_utilization,
-    render_pattern_timeline,
-)
-from repro.workloads import PhaseProgramBuilder, extract_pattern
+from repro.viz import render_comm_matrix, render_pattern_timeline
 
 from tests.fixtures import figure1_pattern, pattern_from_phases
 
@@ -38,25 +30,6 @@ class TestPatternTimeline:
         assert first.index("#") < second.index("#")
 
 
-class TestAdjacencyMatrix:
-    def test_mesh_matrix_shape(self):
-        top = mesh(2, 2)
-        text = render_adjacency_matrix(top.network)
-        assert text.count("\n") == 4  # header + 4 switch rows
-        assert "S0" in text and "S3" in text
-
-    def test_parallel_links_counted(self):
-        from repro.topology import Network
-
-        net = Network(2)
-        a, b = net.add_switch(), net.add_switch()
-        net.attach_processor(0, a)
-        net.attach_processor(1, b)
-        net.add_link(a, b)
-        net.add_link(a, b)
-        assert "  2 " in render_adjacency_matrix(net)
-
-
 class TestCommMatrix:
     def test_counts(self):
         p = pattern_from_phases([[(0, 1)], [(0, 1)]], num_processes=2)
@@ -66,22 +39,6 @@ class TestCommMatrix:
     def test_zero_rendered_as_dot(self):
         p = pattern_from_phases([[(0, 1)]], num_processes=2)
         assert "." in render_comm_matrix(p)
-
-
-class TestUtilization:
-    def test_renders_hot_channels(self):
-        b = PhaseProgramBuilder(4, "u")
-        b.phase([(0, 3, 512)])
-        result = simulate(b.build(), mesh(4, 1), SimConfig())
-        text = render_link_utilization(result, top=3)
-        assert "%" in text
-        assert "hottest channels" in text
-
-    def test_empty_result(self):
-        b = PhaseProgramBuilder(2, "quiet")
-        b.compute(10)
-        result = simulate(b.build(), mesh(2, 1), SimConfig())
-        assert "(no traffic)" in render_link_utilization(result)
 
 
 class TestCliInspect:

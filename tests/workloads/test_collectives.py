@@ -7,10 +7,7 @@ from hypothesis import strategies as st
 from repro.errors import WorkloadError
 from repro.workloads import (
     binomial_broadcast,
-    diagonal_shift,
-    grid_neighbor_shift,
     pairwise_exchange,
-    recursive_doubling,
     recursive_halving_reduce,
     shifted_all_to_all,
     transpose_exchange,
@@ -34,21 +31,6 @@ class TestPairwiseExchange:
         dests = [d for _, d in phase]
         assert len(set(sources)) == len(sources)
         assert len(set(dests)) == len(dests)
-
-
-class TestRecursiveDoubling:
-    def test_phase_count_is_log2(self):
-        assert len(recursive_doubling(list(range(16)))) == 4
-
-    def test_rejects_non_power_of_two(self):
-        with pytest.raises(WorkloadError):
-            recursive_doubling(list(range(6)))
-
-    def test_every_pair_communicates_over_all_phases(self):
-        # After log2(n) rounds every member has (transitively) heard
-        # from every other; directly, each phase is a perfect matching.
-        for phase in recursive_doubling(list(range(8))):
-            assert len(phase) == 8  # both directions of 4 pairs
 
 
 class TestRecursiveHalvingReduce:
@@ -127,23 +109,3 @@ class TestTransposeExchange:
         n = rows * cols
         mapping = {me: (me % rows) * cols + me // rows for me in range(n)}
         assert sorted(mapping.values()) == list(range(n))
-
-
-class TestGridShifts:
-    def test_wrap_shift_is_full_permutation(self):
-        phase = grid_neighbor_shift(3, 3, "x", 1, wrap=True)
-        assert len(phase) == 9
-
-    def test_nonwrap_drops_border(self):
-        phase = grid_neighbor_shift(3, 3, "x", 1, wrap=False)
-        assert len(phase) == 6  # last column has no +x neighbour
-
-    def test_bad_axis_rejected(self):
-        with pytest.raises(WorkloadError):
-            grid_neighbor_shift(3, 3, "z", 1)
-
-    def test_diagonal_shift_wraps(self):
-        phase = diagonal_shift(3, 3, 1)
-        assert len(phase) == 9
-        assert (0, 4) in phase  # (0,0) -> (1,1)
-        assert (8, 0) in phase  # (2,2) -> (0,0)

@@ -12,7 +12,7 @@ from repro.workloads import (
     cg,
     fft,
     mg,
-    paper_suite,
+    paper_sizes,
     sp,
 )
 
@@ -124,22 +124,26 @@ class TestSuite:
         with pytest.raises(WorkloadError):
             benchmark("lu", 16)
 
+    @staticmethod
+    def _suite(size):
+        return {name: benchmark(name, n) for name, n in paper_sizes(size).items()}
+
     def test_paper_small_sizes(self):
-        suite = paper_suite("small")
+        suite = self._suite("small")
         assert set(suite) == set(BENCHMARK_NAMES)
         for name, b in suite.items():
             assert b.num_processes == PAPER_SMALL_SIZES[name]
 
     def test_paper_large_all_sixteen(self):
-        for b in paper_suite("large").values():
+        for b in self._suite("large").values():
             assert b.num_processes == 16
 
     def test_bad_suite_size(self):
-        with pytest.raises(WorkloadError):
-            paper_suite("medium")
+        with pytest.raises(WorkloadError, match="size must be 'small' or 'large', got 'medium'"):
+            paper_sizes("medium")
 
     def test_patterns_have_no_self_messages_and_valid_ranges(self):
-        for b in paper_suite("large").values():
+        for b in self._suite("large").values():
             for m in b.pattern:
                 assert m.source != m.dest
                 assert 0 <= m.source < 16 and 0 <= m.dest < 16

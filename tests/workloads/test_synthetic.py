@@ -1,16 +1,12 @@
-"""Tests for synthetic pattern generators."""
+"""Tests for the random-permutation pattern generator."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import WorkloadError
-from repro.model import CliqueAnalysis, potential_contention_set
-from repro.workloads import (
-    hotspot_pattern,
-    neighbor_ring_pattern,
-    random_permutation_pattern,
-)
+from repro.model import CliqueAnalysis
+from repro.workloads import random_permutation_pattern
 
 
 class TestRandomPermutation:
@@ -46,31 +42,3 @@ class TestRandomPermutation:
         for msgs in by_tag.values():
             assert sorted(m.source for m in msgs) == list(range(n))
             assert sorted(m.dest for m in msgs) == list(range(n))
-
-
-class TestHotspot:
-    def test_messages_are_sequential(self):
-        p = hotspot_pattern(6, hotspot=2)
-        assert potential_contention_set(p) == frozenset()
-
-    def test_all_sources_covered(self):
-        p = hotspot_pattern(5, hotspot=0)
-        assert {m.source for m in p} == {1, 2, 3, 4}
-        assert all(m.dest == 0 for m in p)
-
-    def test_bad_hotspot_rejected(self):
-        with pytest.raises(WorkloadError):
-            hotspot_pattern(4, hotspot=9)
-
-
-class TestNeighborRing:
-    def test_alternating_directions(self):
-        p = neighbor_ring_pattern(5, num_phases=2)
-        tags = {m.tag for m in p}
-        assert tags == {"ring0", "ring1"}
-        fwd = [m for m in p if m.tag == "ring0"]
-        assert all((m.source + 1) % 5 == m.dest for m in fwd)
-
-    def test_rejects_tiny_ring(self):
-        with pytest.raises(WorkloadError):
-            neighbor_ring_pattern(2)
