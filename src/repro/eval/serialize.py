@@ -261,7 +261,9 @@ def design_from_dict(raw: dict, pattern: "CommunicationPattern") -> "GeneratedDe
 
     Raises:
         SerializationError: ``raw`` is not a dict, lacks a field, holds
-            a malformed record, or was synthesized for another pattern.
+            a malformed record, was synthesized for another pattern, or
+            holds a ``switch_map`` or ``pipe_links`` record that
+            contradicts its network (see :func:`_check_design_maps`).
     """
     from repro.model.contention import ContentionEvent
     from repro.model.message import Communication
@@ -316,11 +318,13 @@ def design_from_dict(raw: dict, pattern: "CommunicationPattern") -> "GeneratedDe
             coords=None,
             kind="generated",
         )
+        switch_map = {s: n for s, n in raw["switch_map"]}
+        _check_design_maps(net, switch_map, raw["pipe_links"])
         return GeneratedDesign(
             topology=topology,
             pattern=pattern,
             certificate=certificate,
-            switch_map={s: n for s, n in raw["switch_map"]},
+            switch_map=switch_map,
             pipe_links={
                 frozenset(pair): tuple(ids) for pair, ids in raw["pipe_links"]
             },
@@ -329,6 +333,43 @@ def design_from_dict(raw: dict, pattern: "CommunicationPattern") -> "GeneratedDe
         )
     except _MALFORMED as exc:
         raise _malformed("design", raw, exc) from exc
+
+
+def _check_design_maps(network: "Network", switch_map: Dict[int, int], pipe_links: list) -> None:
+    """Raise :class:`SerializationError` naming ``switch_map`` or
+    ``pipe_links`` when its records contradict the network they map.
+
+    Every design :func:`~repro.synthesis.generator.generate_network`
+    builds numbers its live synthesis switches, in increasing id order,
+    as the network switches ``0..n-1``; and each ``pipe_links`` record
+    names two distinct network switches and the links that join exactly
+    those two, each link in one record only.  O(links + switches).
+    """
+    if [n for _, n in sorted(switch_map.items())] != list(range(network.num_switches)):
+        raise SerializationError(
+            "design switch_map does not number the network's switches 0..n-1 "
+            "in synthesis-switch order"
+        )
+    ends = {link.link_id: frozenset((link.u, link.v)) for link in network.links}
+    switches = set(network.switches)
+    listed = set()
+    for pair, ids in pipe_links:
+        pipe = frozenset(pair)
+        if len(pair) != 2 or len(pipe) != 2 or not pipe <= switches:
+            raise SerializationError(
+                f"design pipe_links record {pair!r} does not name two distinct network switches"
+            )
+        for link_id in ids:
+            if ends.get(link_id) != pipe:
+                raise SerializationError(
+                    f"design pipe_links record {pair!r} lists link {link_id!r}, "
+                    "which does not join those two switches"
+                )
+            if link_id in listed:
+                raise SerializationError(
+                    f"design pipe_links lists link {link_id!r} in more than one place"
+                )
+            listed.add(link_id)
 
 
 def floorplan_to_dict(plan: "Floorplan") -> dict:

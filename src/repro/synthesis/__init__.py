@@ -35,11 +35,7 @@ from repro.synthesis.portfolio import (
     portfolio_cells,
     synthesize_portfolio,
 )
-from repro.synthesis.reroute import (
-    degree_excess,
-    global_processor_moves,
-    reduce_degree_violations,
-)
+from repro.synthesis.reroute import global_processor_moves, reduce_degree_violations
 from repro.synthesis.partition import (
     PartitionResult,
     Partitioner,
@@ -72,7 +68,6 @@ __all__ = [
     "build_adjacency",
     "build_conflict_graph",
     "conflict_edge_count",
-    "degree_excess",
     "dsatur_coloring",
     "global_processor_moves",
     "reduce_degree_violations",

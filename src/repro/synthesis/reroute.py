@@ -9,6 +9,20 @@ module implements that global pass: communications crossing a pipe of
 an over-budget switch are detoured through intermediate switches
 whenever doing so reduces, lexicographically, (total degree excess,
 total estimated links).
+
+A detour through ``m`` takes a communication off its ``s-k`` hop
+``u -> v`` (in path order) and puts it on ``u -> m`` and ``m -> v``.
+:meth:`~repro.synthesis.state.SynthesisState.preview_detours` prices
+every ``m`` from one shared ``s-k`` delta plus the ``u-m`` and ``m-v``
+deltas; each price equals what ``preview_objective`` reads for
+``preview_route_change`` of that detour.
+
+``Fast_Color`` is ``max_K |K ∩ C|``, so a pipe's estimate never drops
+when the pipe gains a communication.  If taking the communication off
+``u -> v`` leaves the ``s-k`` estimate unchanged, then under any detour
+no estimate and no switch degree drops, and ``(excess, links)`` cannot
+fall.  :func:`_improve_comm` then skips the detours and tries only the
+shortcuts, so it commits the same move as a sweep over every candidate.
 """
 
 from __future__ import annotations
@@ -20,24 +34,15 @@ from repro.synthesis.constraints import DesignConstraints
 from repro.synthesis.state import SynthesisState
 
 
-def degree_excess(state: SynthesisState, constraints: DesignConstraints) -> int:
-    """Total port overshoot across all switches under link estimates."""
-    deg = state.all_estimated_degrees()
-    return sum(max(0, d - constraints.max_degree) for d in deg.values())
-
-
-def _objective(state: SynthesisState, constraints: DesignConstraints) -> Tuple[int, int]:
-    return state.objective(constraints.max_degree)
-
-
 def reduce_degree_violations(state: SynthesisState, constraints: DesignConstraints) -> int:
     """Greedy global rerouting until no move lowers the objective.
 
     In each round, every communication crossing a pipe of an over-budget
-    switch tries (a) a detour through every other switch and (b) a
-    shortcut that removes an intermediate switch from its path.  Moves
-    are committed when they strictly lower (degree excess, total
-    links), so the loop terminates; it also stops after 30 rounds.
+    switch tries (a) a detour through a switch piped to either end of
+    the hop and (b) a shortcut that removes an intermediate switch from
+    its path.  Moves are committed when they strictly lower (degree
+    excess, total links), so the loop terminates; it also stops after
+    30 rounds.
     Returns the number of committed moves.
     """
     moves = 0
@@ -80,11 +85,12 @@ def _try_eliminate_pipe(
 ) -> bool:
     """Reroute every communication off the ``s-k`` pipe if that lowers
     the objective overall (each communication takes its individually
-    best detour)."""
+    best detour, the first minimum in candidate order)."""
     crossing = sorted(state.pipe_forward(s, k) | state.pipe_forward(k, s))
     if not crossing:
         return False
-    before = _objective(state, constraints)
+    max_degree = constraints.max_degree
+    before = state.objective(max_degree)
     with state.transaction() as txn:
         for comm in crossing:
             path = state.route_of(comm)
@@ -92,18 +98,23 @@ def _try_eliminate_pipe(
                 continue
             best_path = None
             best_score = None
-            for candidate in _candidate_paths(state, path, s, k):
+            _, detours = state.preview_detours(comm, s, k, max_degree)
+            for candidate, score in detours:
+                if best_score is None or score < best_score:
+                    best_score = score
+                    best_path = candidate
+            for candidate in _shortcuts(path):
                 if _uses_hop(candidate, s, k):
                     continue
                 changed = state.preview_route_change(comm, candidate)
-                score = state.preview_objective(changed, constraints.max_degree)
+                score = state.preview_objective(changed, max_degree)
                 if best_score is None or score < best_score:
                     best_score = score
                     best_path = candidate
             if best_path is None:
                 return False
             state.set_route(comm, best_path)
-        if _objective(state, constraints) < before:
+        if state.objective(max_degree) < before:
             txn.commit()
             return True
     return False
@@ -133,14 +144,14 @@ def global_processor_moves(state: SynthesisState, constraints: DesignConstraints
         for s in violators:
             if not state.switch_procs[s]:
                 continue
-            before = _objective(state, constraints)
+            before = state.objective(constraints.max_degree)
             for proc in sorted(state.switch_procs[s]):
                 for target in state.switches:
                     if target == s:
                         continue
                     with state.transaction() as txn:
                         state.move_processor(proc, target)
-                        if _objective(state, constraints) < before:
+                        if state.objective(constraints.max_degree) < before:
                             txn.commit()
                             moves += 1
                             improved = True
@@ -162,14 +173,23 @@ def _improve_comm(
     s: int,
     k: int,
 ) -> bool:
-    """Try all single-switch detours/shortcuts for one hop of ``comm``."""
+    """Commit the first single-switch detour, then shortcut, of one hop
+    of ``comm`` that lowers the objective.  Detours are priced only when
+    leaving the hop lowers its estimate (see the module docstring)."""
     old_path = state.route_of(comm)
     if not _uses_hop(old_path, s, k):
         return False
-    before = _objective(state, constraints)
-    for candidate in _candidate_paths(state, old_path, s, k):
+    max_degree = constraints.max_degree
+    before = state.objective(max_degree)
+    relief, detours = state.preview_detours(comm, s, k, max_degree)
+    if relief < 0:
+        for candidate, score in detours:
+            if score < before:
+                state.set_route(comm, candidate)
+                return True
+    for candidate in _shortcuts(old_path):
         changed = state.preview_route_change(comm, candidate)
-        if state.preview_objective(changed, constraints.max_degree) < before:
+        if state.preview_objective(changed, max_degree) < before:
             state.set_route(comm, candidate)
             return True
     return False
@@ -184,36 +204,7 @@ def _uses_hop(path: Tuple[int, ...], s: int, k: int) -> bool:
     return False
 
 
-def _candidate_paths(
-    state: SynthesisState, path: Tuple[int, ...], s: int, k: int
-) -> List[Tuple[int, ...]]:
-    """Detours (insert one switch in the s-k hop) and shortcuts (drop an
-    interior switch), all normalized and deduplicated."""
-    out: List[Tuple[int, ...]] = []
-    seen = {path}
-    # Routes are simple paths, so inserting a switch not already on the
-    # path (detour) or dropping an interior one (shortcut) yields a
-    # simple path again — no re-normalization needed.
-    # Detours through switches already piped to either endpoint: a
-    # disconnected intermediate would add two fresh pipes without
-    # relieving the endpoints, so it can never lower the objective.
-    candidates = sorted(set(state.pipes_of(s)) | set(state.pipes_of(k)))
-    for m in candidates:
-        if m in path:
-            continue
-        detoured: List[int] = []
-        for idx, node in enumerate(path):
-            detoured.append(node)
-            if idx + 1 < len(path) and (node, path[idx + 1]) in ((s, k), (k, s)):
-                detoured.append(m)
-        candidate = tuple(detoured)
-        if candidate not in seen:
-            seen.add(candidate)
-            out.append(candidate)
-    # Shortcuts: drop one interior switch.
-    for idx in range(1, len(path) - 1):
-        candidate = path[:idx] + path[idx + 1 :]
-        if candidate not in seen:
-            seen.add(candidate)
-            out.append(candidate)
-    return out
+def _shortcuts(path: Tuple[int, ...]) -> List[Tuple[int, ...]]:
+    """Routes that drop one interior switch of ``path`` — simple paths
+    again, since ``path`` is simple."""
+    return [path[:idx] + path[idx + 1 :] for idx in range(1, len(path) - 1)]

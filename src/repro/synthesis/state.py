@@ -93,6 +93,13 @@ def normalize_path(path: Sequence[int]) -> SwitchPath:
     return tuple(out)
 
 
+def _excess_change(over: int, delta: int) -> int:
+    """How a switch's degree excess moves when its port count, ``over``
+    ports above the bound, changes by ``delta``."""
+    after = over + delta
+    return (after if after > 0 else 0) - (over if over > 0 else 0)
+
+
 @dataclass
 class StateSnapshot:
     """A restorable copy of the mutable parts of a synthesis state."""
@@ -195,11 +202,6 @@ class SynthesisState:
         # accepted steps — the state, and hence the score, is unchanged
         # in between).
         self._preview_cache: Dict[Tuple[int, int, int, int], Tuple[int, int]] = {}
-        # Hypothetical pipe contents (pipe ± one communication), valid
-        # until the next mutation: every candidate path of one
-        # communication removes it from the same old hops, so the
-        # frozensets recur across the candidate sweep.
-        self._content_cache: Dict[tuple, FrozenSet[Communication]] = {}
 
     @classmethod
     def initial(cls, analysis: CliqueAnalysis) -> "SynthesisState":
@@ -275,7 +277,6 @@ class SynthesisState:
         """
         old_path = self.routes.get(comm)
         self._preview_cache.clear()
-        self._content_cache.clear()
         pc = self.pipe_comms
         dirty = self._dirty
         frozen = self._frozen
@@ -489,20 +490,12 @@ class SynthesisState:
         old_path = self.routes[comm]
         old_hops = set(zip(old_path, old_path[1:]))
         new_hops = set(zip(new_path, new_path[1:]))
+        single = frozenset((comm,))
         changed: Dict[PipeKey, FrozenSet[Communication]] = {}
-        cache = self._content_cache
-        single = None
-        for sign, hops in ((-1, old_hops - new_hops), (1, new_hops - old_hops)):
-            for duv in hops:
-                key = (duv, comm, sign)
-                fs = cache.get(key)
-                if fs is None:
-                    if single is None:
-                        single = frozenset((comm,))
-                    base = self.pipe_forward(*duv)
-                    fs = base - single if sign < 0 else base | single
-                    cache[key] = fs
-                changed[duv] = fs
+        for duv in old_hops - new_hops:
+            changed[duv] = self.pipe_forward(*duv) - single
+        for duv in new_hops - old_hops:
+            changed[duv] = self.pipe_forward(*duv) | single
         return changed
 
     def _preview_estimate(
@@ -554,10 +547,84 @@ class SynthesisState:
             deg = self._pipe_deg
             sp = self.switch_procs
             for s, d in deg_delta.items():
-                cur = len(sp[s]) + deg[s] - max_degree
-                after = cur + d
-                excess += (after if after > 0 else 0) - (cur if cur > 0 else 0)
+                excess += _excess_change(len(sp[s]) + deg[s] - max_degree, d)
         return (excess, self._links_total + delta_links)
+
+    def preview_detours(
+        self, comm: Communication, s: int, k: int, max_degree: int
+    ) -> Tuple[int, Iterator[Tuple[SwitchPath, Tuple[int, int]]]]:
+        """Price every one-switch detour of ``comm``'s ``s-k`` hop.
+
+        A detour through ``m`` takes ``comm`` off the hop ``u -> v``
+        (``s-k`` in path order) and puts it on ``u -> m`` and
+        ``m -> v``.  Returns ``(relief, detours)``:
+
+        * ``relief`` — how the ``s-k`` estimate changes when ``comm``
+          leaves the hop (zero or negative);
+        * ``detours`` — ``(path, (excess, links))`` for each ``m`` in
+          ``sorted(pipes_of(s) | pipes_of(k))`` off the route, exactly
+          :meth:`preview_objective` of :meth:`preview_route_change` for
+          that path.  Each ``m`` costs its two pipe deltas on top of the
+          shared ``s-k`` one; they are priced lazily, so consume them
+          before the next mutation.
+        """
+        self._flush_dirty()
+        path = self.routes[comm]
+        at = path.index(s)
+        if at + 1 < len(path) and path[at + 1] == k:
+            u, v = s, k
+        elif at and path[at - 1] == k:
+            at -= 1
+            u, v = k, s
+        else:
+            raise SynthesisError(f"route for {comm} does not cross S{s}-S{k}")
+        fwd = self.pipe_forward(u, v) - frozenset((comm,))
+        bwd = self.pipe_forward(v, u)
+        new = self.color_memo.fast_pair(fwd, bwd) if (fwd or bwd) else 0
+        relief = new - self._estimates.get((u, v) if u < v else (v, u), 0)
+        return relief, self._priced_detours(comm, path, at, relief, max_degree)
+
+    def _priced_detours(
+        self,
+        comm: Communication,
+        path: SwitchPath,
+        at: int,
+        relief: int,
+        max_degree: int,
+    ) -> Iterator[Tuple[SwitchPath, Tuple[int, int]]]:
+        """The lazy half of :meth:`preview_detours`."""
+        u, v = path[at], path[at + 1]
+        head, tail = path[: at + 1], path[at + 1 :]
+        single = frozenset((comm,))
+        pipe = self.pipe_forward
+        est = self._estimates
+        memo_pair = self.color_memo.fast_pair
+        sp = self.switch_procs
+        deg = self._pipe_deg
+        base = self._excess(max_degree)
+        links = self._links_total + relief
+        over_u = len(sp[u]) + deg[u] - max_degree
+        over_v = len(sp[v]) + deg[v] - max_degree
+        on_route = set(path)
+        # Only switches already piped to an end of the hop: a
+        # disconnected one would add two fresh pipes without relieving
+        # either end.
+        for m in sorted(self._adj[u].keys() | self._adj[v].keys()):
+            if m in on_route:
+                continue
+            d_um = memo_pair(pipe(u, m) | single, pipe(m, u)) - est.get(
+                (u, m) if u < m else (m, u), 0
+            )
+            d_mv = memo_pair(pipe(m, v) | single, pipe(v, m)) - est.get(
+                (m, v) if m < v else (v, m), 0
+            )
+            excess = (
+                base
+                + _excess_change(over_u, relief + d_um)
+                + _excess_change(over_v, relief + d_mv)
+                + _excess_change(len(sp[m]) + deg[m] - max_degree, d_um + d_mv)
+            )
+            yield head + (m,) + tail, (excess, links + d_um + d_mv)
 
     def preview_local_links(
         self,
@@ -855,7 +922,6 @@ class SynthesisState:
         self._next_switch = snap.next_switch
         self._undo_log.clear()
         self._preview_cache.clear()
-        self._content_cache.clear()
         self._excess_base.clear()
         # Snapshot estimates were settled against the captured pipe
         # contents, so they seed the accounting; any non-empty pipe the

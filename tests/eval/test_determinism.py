@@ -187,6 +187,11 @@ class TestCacheKeys:
             lambda p: _edit_floorplan(p, "link_costs", _stretched_link(p)),
             lambda p: _edit_floorplan(p, "feasible", not p["floorplan"]["feasible"]),
             lambda p: _edit_floorplan(p, "processor_cell", _shared_tile(p)),
+            # Design maps that contradict the network they describe.
+            lambda p: _edit_design(p, "switch_map", 1, [9, 1]),
+            lambda p: _edit_design(p, "pipe_links", 0, [[0.2], p["design"]["pipe_links"][0][1]]),
+            lambda p: _edit_design(p, "pipe_links", 0, [[0, 1], p["design"]["pipe_links"][0][1]]),
+            lambda p: _edit_design(p, "pipe_links", 1, [p["design"]["pipe_links"][1][0], [1, 1]]),
         ],
         ids=[
             "torn",
@@ -199,6 +204,10 @@ class TestCacheKeys:
             "link-cost",
             "feasible-flag",
             "shared-tile",
+            "switch-map-order",
+            "pipe-one-switch",
+            "pipe-other-switches",
+            "pipe-link-twice",
         ],
     )
     def test_unusable_setup_entry_is_a_dropped_miss(self, setup, tmp_path, corrupt):

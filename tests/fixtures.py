@@ -1,11 +1,13 @@
 """Shared test fixtures: small hand-built patterns, including the
-paper's Figure 1 CG example (translated to 0-indexed processors)."""
+paper's Figure 1 CG example (translated to 0-indexed processors), and
+a hand-split synthesis state."""
 
 from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from repro.model import Communication, CommunicationPattern, Message
+from repro.model import CliqueAnalysis, Communication, CommunicationPattern, Message
+from repro.synthesis import SynthesisState
 
 
 def pattern_from_phases(
@@ -81,3 +83,24 @@ PAPER_PERIOD3_1INDEXED = [
 def paper_period3_clique() -> frozenset:
     """Period-3 clique translated to 0-indexed communications."""
     return frozenset(Communication(s - 1, d - 1) for s, d in PAPER_PERIOD3_1INDEXED)
+
+
+def dense_stuck_state() -> SynthesisState:
+    """A 6-process pattern where each process talks to many partners,
+    split down to one processor per switch with direct routes."""
+    phases = [
+        [(i, (i + 1) % 6) for i in range(6)],
+        [(i, (i + 2) % 6) for i in range(6)],
+        [(i, (i + 3) % 6) for i in range(6)],
+    ]
+    pattern = pattern_from_phases(phases, num_processes=6)
+    state = SynthesisState.initial(CliqueAnalysis.of(pattern))
+    # Manually split into singletons with direct routes.
+    for p in range(1, 6):
+        s = state._new_switch()
+        state.switch_procs[0].discard(p)
+        state.switch_procs[s].add(p)
+        state.proc_switch[p] = s
+    for comm in state.comms:
+        state.set_route(comm, state._endpoint_adjusted(comm, (0,)))
+    return state

@@ -6,13 +6,9 @@ import pytest
 
 from repro.model import CliqueAnalysis
 from repro.synthesis import AnnealSchedule, DesignConstraints, SimulatedAnnealing, SynthesisState
-from repro.synthesis.reroute import (
-    degree_excess,
-    global_processor_moves,
-    reduce_degree_violations,
-)
+from repro.synthesis.reroute import global_processor_moves, reduce_degree_violations
 
-from tests.fixtures import pattern_from_phases
+from tests.fixtures import dense_stuck_state, pattern_from_phases
 
 
 class TestAnnealSchedule:
@@ -104,45 +100,24 @@ class TestSimulatedAnnealing:
         assert energy_steps == [10, 20, 30]
 
 
-def _dense_stuck_state():
-    """A 6-process pattern where each process talks to many partners,
-    split down to one processor per switch with direct routes."""
-    phases = [
-        [(i, (i + 1) % 6) for i in range(6)],
-        [(i, (i + 2) % 6) for i in range(6)],
-        [(i, (i + 3) % 6) for i in range(6)],
-    ]
-    pattern = pattern_from_phases(phases, num_processes=6)
-    state = SynthesisState.initial(CliqueAnalysis.of(pattern))
-    # Manually split into singletons with direct routes.
-    for p in range(1, 6):
-        s = state._new_switch()
-        state.switch_procs[0].discard(p)
-        state.switch_procs[s].add(p)
-        state.proc_switch[p] = s
-    for comm in state.comms:
-        state.set_route(comm, state._endpoint_adjusted(comm, (0,)))
-    return state
-
-
 class TestReduceDegreeViolations:
     def test_reduces_excess_on_dense_pattern(self):
-        state = _dense_stuck_state()
+        state = dense_stuck_state()
         constraints = DesignConstraints(max_degree=4)
-        before = degree_excess(state, constraints)
+        before, _ = state.objective(constraints.max_degree)
         assert before > 0
         reduce_degree_violations(state, constraints)
-        assert degree_excess(state, constraints) < before
+        assert state.objective(constraints.max_degree)[0] < before
 
     def test_never_increases_objective(self):
-        state = _dense_stuck_state()
+        state = dense_stuck_state()
         constraints = DesignConstraints(max_degree=4)
         before = state.objective(constraints.max_degree)
         reduce_degree_violations(state, constraints)
         assert state.objective(constraints.max_degree) <= before
 
     def test_routes_stay_anchored(self):
-        state = _dense_stuck_state()
+        state = dense_stuck_state()
         reduce_degree_violations(state, DesignConstraints(max_degree=4))
         for comm in state.comms:
             path = state.route_of(comm)
@@ -158,7 +133,7 @@ class TestReduceDegreeViolations:
 
 class TestGlobalProcessorMoves:
     def test_moves_relieve_overloaded_switch(self):
-        state = _dense_stuck_state()
+        state = dense_stuck_state()
         constraints = DesignConstraints(max_degree=4)
         before = state.objective(constraints.max_degree)
         moved = global_processor_moves(state, constraints)
@@ -169,7 +144,7 @@ class TestGlobalProcessorMoves:
             assert after == before
 
     def test_processors_never_lost(self):
-        state = _dense_stuck_state()
+        state = dense_stuck_state()
         global_processor_moves(state, DesignConstraints(max_degree=4))
         owned = set()
         for procs in state.switch_procs.values():

@@ -19,6 +19,7 @@ from repro.synthesis import (
 )
 from repro.synthesis.conflict_graph import build_conflict_graph
 from repro.synthesis.coloring import is_proper_coloring
+from repro.workloads import random_permutation_pattern
 
 from tests.fixtures import figure1_pattern, pattern_from_phases
 
@@ -228,3 +229,26 @@ class TestMainAlgorithm:
         result = partition(CliqueAnalysis.of(figure1_pattern()), seed=0)
         assert result.bisections >= 1
         assert result.total_links() >= 1
+
+
+class TestCountedWork:
+    """Section 3.3's partitioning cost as counted work, which does not
+    drift with the host as wall time does: random permutations with four
+    contention periods (pattern seed 1) at degree 8.  The counts do not
+    depend on ``PYTHONHASHSEED``.  Bisections belong to the paper's
+    algorithm; the Fast_Color lookups (memo hits plus misses) move by
+    design whenever the global reroute pass evaluates fewer candidates.
+    """
+
+    @pytest.mark.parametrize(
+        "n, seed, bisections, lookups",
+        [(16, 0, 4, 3_696), (24, 1, 11, 65_216), (32, 0, 14, 121_884)],
+    )
+    def test_bisections_and_fast_color_lookups(self, n, seed, bisections, lookups):
+        pattern = random_permutation_pattern(n, 4, seed=1)
+        result = Partitioner(
+            CliqueAnalysis.of(pattern), DesignConstraints(max_degree=8), seed=seed
+        ).run()
+        memo = result.state.color_memo
+        assert result.bisections == bisections
+        assert memo.fast_hits + memo.fast_misses == lookups

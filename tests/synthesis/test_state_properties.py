@@ -12,20 +12,28 @@ patterns and operation sequences:
 * **preview equals apply** — the preview evaluators
   (``preview_route_change``/``preview_objective``/
   ``preview_local_links``/``preview_move_score``) predict precisely
-  what mutating and re-reading the state yields.
+  what mutating and re-reading the state yields;
+* **detour pricing is exact** — ``preview_detours`` prices every detour
+  exactly as ``preview_objective`` does, a hop whose relief is zero has
+  no improving detour, and the global reroute pass ends where the
+  per-candidate sweep it replaced ends.
 """
 
 import random
+from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.model import CliqueAnalysis
+from repro.synthesis import DesignConstraints, Partitioner, reroute
 from repro.synthesis.fast_color import fast_color
 from repro.synthesis.memo import ColorMemo
 from repro.synthesis.moves import _score
 from repro.synthesis.state import SynthesisState, normalize_path
 from repro.workloads import random_permutation_pattern
+
+from tests.fixtures import dense_stuck_state
 
 MAX_DEGREE = 8
 
@@ -40,6 +48,16 @@ def _prepared_state(pattern_seed, rng):
         if len(state.switch_procs[s]) >= 2:
             state.split_switch(s, rng)
             break
+    return state
+
+
+def _split_state(pattern_seed, rng, splits=4):
+    """A larger state: eight processes, three periods, several splits."""
+    pattern = random_permutation_pattern(8, 3, seed=pattern_seed)
+    state = SynthesisState.initial(CliqueAnalysis.of(pattern))
+    for _ in range(splits):
+        splittable = [s for s in state.switches if len(state.switch_procs[s]) >= 2]
+        state.split_switch(rng.choice(splittable), rng)
     return state
 
 
@@ -189,3 +207,159 @@ def test_preview_move_score_equals_apply(seed):
             assert _score(state, si, sj) == predicted
         checked += 1
     assert checked > 0
+
+
+# The per-candidate sweep ``preview_detours`` replaced: every detour and
+# shortcut gets its own ``preview_route_change`` and ``preview_objective``.
+
+
+def _oracle_candidates(state, path, s, k):
+    """Detours (insert one switch piped to ``s`` or ``k`` into the s-k
+    hop), then shortcuts (drop one interior switch)."""
+    out = []
+    for m in sorted(set(state.pipes_of(s)) | set(state.pipes_of(k))):
+        if m in path:
+            continue
+        detoured = []
+        for idx, node in enumerate(path):
+            detoured.append(node)
+            if idx + 1 < len(path) and (node, path[idx + 1]) in ((s, k), (k, s)):
+                detoured.append(m)
+        out.append(tuple(detoured))
+    return out + [path[:idx] + path[idx + 1 :] for idx in range(1, len(path) - 1)]
+
+
+def _oracle_price(state, comm, candidate, max_degree):
+    changed = state.preview_route_change(comm, candidate)
+    return state.preview_objective(changed, max_degree)
+
+
+def _oracle_improve_comm(state, constraints, comm, s, k):
+    old_path = state.route_of(comm)
+    if not reroute._uses_hop(old_path, s, k):
+        return False
+    before = state.objective(constraints.max_degree)
+    for candidate in _oracle_candidates(state, old_path, s, k):
+        if _oracle_price(state, comm, candidate, constraints.max_degree) < before:
+            state.set_route(comm, candidate)
+            return True
+    return False
+
+
+def _oracle_try_eliminate_pipe(state, constraints, s, k):
+    crossing = sorted(state.pipe_forward(s, k) | state.pipe_forward(k, s))
+    if not crossing:
+        return False
+    before = state.objective(constraints.max_degree)
+    with state.transaction() as txn:
+        for comm in crossing:
+            path = state.route_of(comm)
+            if not reroute._uses_hop(path, s, k):
+                continue
+            best_path = best_score = None
+            for candidate in _oracle_candidates(state, path, s, k):
+                if reroute._uses_hop(candidate, s, k):
+                    continue
+                score = _oracle_price(state, comm, candidate, constraints.max_degree)
+                if best_score is None or score < best_score:
+                    best_score, best_path = score, candidate
+            if best_path is None:
+                return False
+            state.set_route(comm, best_path)
+        if state.objective(constraints.max_degree) < before:
+            txn.commit()
+            return True
+    return False
+
+
+def _per_candidate_sweep():
+    """Run the reroute pass with the oracle's two move evaluators."""
+    return mock.patch.multiple(
+        reroute,
+        _improve_comm=_oracle_improve_comm,
+        _try_eliminate_pipe=_oracle_try_eliminate_pipe,
+    )
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(min_value=0, max_value=500),
+    larger=st.booleans(),
+    steps=st.integers(min_value=0, max_value=8),
+    max_degree=st.sampled_from([2, 3, 4, MAX_DEGREE]),
+)
+def test_detour_prices_equal_previews(seed, larger, steps, max_degree):
+    rng = random.Random(seed)
+    state = _split_state(seed % 3, rng) if larger else _prepared_state(seed % 3, rng)
+    _mutate_randomly(state, rng, steps)
+    before = state.objective(max_degree)
+    for comm in state.comms:
+        path = state.route_of(comm)
+        for u, v in zip(path, path[1:]):
+            for s, k in ((u, v), (v, u)):
+                relief, detours = state.preview_detours(comm, s, k, max_degree)
+                assert relief == fast_color(
+                    state.pipe_forward(u, v) - {comm},
+                    state.pipe_forward(v, u),
+                    state.max_cliques,
+                ) - state.pipe_estimate(u, v)
+                priced = list(detours)
+                expected = [
+                    c for c in _oracle_candidates(state, path, s, k) if len(c) > len(path)
+                ]
+                assert [candidate for candidate, _ in priced] == expected
+                for candidate, score in priced:
+                    assert score == _oracle_price(state, comm, candidate, max_degree)
+                    if relief == 0:
+                        assert score >= before
+
+
+def _reroute_outcome(state, constraints):
+    moves = reroute.reduce_degree_violations(state, constraints)
+    return moves, dict(state.routes), dict(state.proc_switch)
+
+
+def test_reroute_matches_per_candidate_sweep_on_dense_state():
+    constraints = DesignConstraints(max_degree=4)
+    outcome = _reroute_outcome(dense_stuck_state(), constraints)
+    with _per_candidate_sweep():
+        assert _reroute_outcome(dense_stuck_state(), constraints) == outcome
+    assert outcome[0] > 0
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(min_value=0, max_value=500),
+    steps=st.integers(min_value=0, max_value=8),
+    max_degree=st.sampled_from([3, 4, 5]),
+)
+def test_reroute_matches_per_candidate_sweep_on_random_states(seed, steps, max_degree):
+    def build():
+        rng = random.Random(seed)
+        state = _split_state(seed % 3, rng, splits=5)
+        _mutate_randomly(state, rng, steps)
+        return state
+
+    constraints = DesignConstraints(max_degree=max_degree)
+    outcome = _reroute_outcome(build(), constraints)
+    with _per_candidate_sweep():
+        assert _reroute_outcome(build(), constraints) == outcome
+
+
+def test_partitioner_matches_per_candidate_sweep():
+    """Whole partitioning runs, whose bisections and processor moves
+    interleave with reroute passes, end where the oracle's runs end."""
+
+    def run(n, seed):
+        pattern = random_permutation_pattern(n, 4, seed=1)
+        result = Partitioner(
+            CliqueAnalysis.of(pattern), DesignConstraints(max_degree=6), seed=seed
+        ).run()
+        state = result.state
+        counts = (result.bisections, result.route_moves, result.processor_moves)
+        return counts, dict(state.routes), dict(state.proc_switch)
+
+    for n, seed in ((12, 0), (16, 2)):
+        outcome = run(n, seed)
+        with _per_candidate_sweep():
+            assert run(n, seed) == outcome
