@@ -5,18 +5,27 @@ tiles (each tile touching its switch's corner), minimizing total link
 area.  Infeasible intermediate states are allowed during the search and
 priced with a large penalty; the returned floorplan reports whether the
 final state is feasible.
+
+Each restart anneals one placement in place (:func:`_anneal`): a
+proposal changes the live lists, re-prices only what it touched, and is
+reverted if the Metropolis test rejects it; the state is copied only
+when it becomes a new strict best.  Every proposal draws the same
+random numbers, in the same order, over sequences of the same lengths
+as pricing a fresh copy of the state would, and every cost is an
+integer, so the search takes one fixed path per seed.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import FloorplanError
 from repro.floorplan.tiles import Cell, Corner, TileGrid, manhattan
 from repro.obs import DISABLED, Observability
-from repro.synthesis.annealing import AnnealSchedule, SimulatedAnnealing
+from repro.synthesis.annealing import AnnealSchedule
 from repro.topology.network import Network
 
 # Each adjacency violation costs more than any single link could save.
@@ -27,6 +36,11 @@ _RESTARTS = 8
 
 # The cooling schedule of every restart.
 _SCHEDULE = AnnealSchedule(initial_temperature=8.0, cooling=0.96, steps=5000)
+
+# Metric names: ``.accepted``, ``.accepted_worse`` and ``.rejected``
+# count proposals; ``.temperature`` and ``.energy`` hold one point per
+# temperature level.
+_LABEL = "floorplan.anneal"
 
 
 @dataclass(frozen=True)
@@ -81,12 +95,12 @@ class Floorplan:
 
 @dataclass
 class _Placement:
-    """One annealing state and its cached cost.
+    """A placement keyed by switch and processor id, with its cost.
 
     ``area`` and ``violations`` equal :func:`_link_area` and
-    :func:`_violations` of the state.  :class:`_Moves` keeps them
-    current; :func:`_repair` does not, so after the anneal only the
-    from-scratch functions are read.
+    :func:`_violations` of the state when :func:`_initial_placement`
+    returns it; :func:`_repair` does not update them, so after the
+    anneal only the from-scratch functions are read.
     """
 
     switch_corner: Dict[int, Corner]
@@ -111,129 +125,249 @@ def _link_area(net: Network, p: _Placement) -> int:
     )
 
 
-class _Moves:
-    """The annealer's energy and move set for one network on one grid.
+class _Tables:
+    """Lookup tables of one network on one grid, built once per
+    :func:`place` call.
 
-    The lookup tables are built once per :func:`place` call.  A move
-    copies the placement, changes it, and re-prices only what it
-    touched: the links incident to a moved switch, and the processors
-    whose tile changed or whose switch's corner changed.  Moves draw
-    the same random numbers, in the same order, over the same sorted
-    lists as pricing every state from scratch would, and every cost is
-    an integer, so the anneal takes the identical path.
+    The annealer works on integers: switches are numbered by their
+    position in ``net.switches``, corners by their position in
+    :meth:`TileGrid.corners` and tiles by their position in
+    :meth:`TileGrid.cells`; processors keep their ids.
     """
 
     def __init__(self, net: Network, grid: TileGrid) -> None:
-        self.num_processors = net.num_processors
         self.switches = net.switches
+        self.index = {s: i for i, s in enumerate(self.switches)}
+        self.num_processors = net.num_processors
         self.corners = grid.corners()
         self.cells = grid.cells()
-        self.corner_tiles = {c: sorted(grid.corner_cells(c)) for c in self.corners}
-        self.switch_of = [net.switch_of(p) for p in range(net.num_processors)]
-        self.procs_of = {s: sorted(net.processors_of(s)) for s in self.switches}
+        self.corner_index = {k: i for i, k in enumerate(self.corners)}
+        self.cell_index = {c: i for i, c in enumerate(self.cells)}
+        # Each corner's tiles in sorted (i, j) order, as tile indices.
+        self.corner_tiles = [
+            [self.cell_index[c] for c in sorted(grid.corner_cells(k))]
+            for k in self.corners
+        ]
+        # dist[k][l]: link area between corners k and l.
+        self.dist = [[manhattan(k, l) for l in self.corners] for k in self.corners]
+        # bad[k][c]: 1 when tile c does not touch corner k, else 0.
+        self.bad = [
+            [0 if 0 <= x - i <= 1 and 0 <= y - j <= 1 else 1 for i, j in self.cells]
+            for x, y in self.corners
+        ]
+        self.switch_of = [self.index[net.switch_of(p)] for p in range(net.num_processors)]
+        self.procs_of = [sorted(net.processors_of(s)) for s in self.switches]
         # Far endpoint of every link at each switch, once per parallel link.
-        self.link_ends: Dict[int, List[int]] = {s: [] for s in self.switches}
+        self.link_ends: List[List[int]] = [[] for _ in self.switches]
         for link in net.links:
-            self.link_ends[link.u].append(link.v)
-            self.link_ends[link.v].append(link.u)
+            u, v = self.index[link.u], self.index[link.v]
+            self.link_ends[u].append(v)
+            self.link_ends[v].append(u)
 
-    @staticmethod
-    def energy(p: _Placement) -> float:
-        return p.area + _PENALTY * p.violations
-
-    def neighbor(self, p: _Placement, rng: random.Random) -> _Placement:
-        """A new placement one random move away; ``p`` is not mutated."""
-        q = _Placement(
-            dict(p.switch_corner), dict(p.processor_cell), p.area, p.violations
+    def live(self, p: _Placement) -> "_Live":
+        """``p`` in this numbering, ready to anneal."""
+        cell = [self.cell_index[p.processor_cell[proc]] for proc in range(self.num_processors)]
+        owner = [-1] * len(self.cells)
+        for proc, c in enumerate(cell):
+            owner[c] = proc
+        return _Live(
+            corner=[self.corner_index[p.switch_corner[s]] for s in self.switches],
+            cell=cell,
+            owner=owner,
+            area=p.area,
+            violations=p.violations,
         )
-        switch: Optional[int] = None
-        moved: Iterable[int] = ()
-        roll = rng.random()
+
+    def placement(self, like: _Placement, corner: List[int], cell: List[int]) -> _Placement:
+        """``corner`` and ``cell`` as a :class:`_Placement` whose dicts
+        have ``like``'s key order (the floorplan records follow it)."""
+        index, corners, cells = self.index, self.corners, self.cells
+        return _Placement(
+            switch_corner={s: corners[corner[index[s]]] for s in like.switch_corner},
+            processor_cell={proc: cells[cell[proc]] for proc in like.processor_cell},
+        )
+
+
+@dataclass
+class _Live:
+    """The state one restart anneals in place, in :class:`_Tables`'
+    numbering.
+
+    Attributes:
+        corner: switch -> corner.
+        cell: processor -> tile.
+        owner: tile -> processor, or -1 for a free tile.
+        area, violations: :func:`_link_area` and :func:`_violations` of
+            the state.
+    """
+
+    corner: List[int]
+    cell: List[int]
+    owner: List[int]
+    area: int
+    violations: int
+
+
+# What a rejected proposal must undo.
+_CLUSTER, _SWITCH, _SWAP, _FREE, _NOTHING = range(5)
+
+
+def _anneal(
+    t: _Tables,
+    live: _Live,
+    rng: random.Random,
+    schedule: AnnealSchedule,
+    obs: Observability,
+) -> Tuple[List[int], List[int]]:
+    """Anneal ``live`` in place; returns copies of the corners and tiles
+    of the best state visited (the first to reach the least energy)."""
+    corner, cell, owner = live.corner, live.cell, live.owner
+    area, violations = live.area, live.violations
+    corner_tiles, dist, bad = t.corner_tiles, t.dist, t.bad
+    switch_of, procs_of, link_ends = t.switch_of, t.procs_of, t.link_ends
+    num_procs = t.num_processors
+    proc_list = list(range(num_procs))
+    switch_list = list(range(len(t.switches)))
+    corner_list = list(range(len(t.corners)))
+    tile_list = list(range(len(t.cells)))
+    # A tile is free only when the grid has more tiles than processors.
+    spare = len(tile_list) > num_procs
+    draw = rng.random
+    choice = rng.choice
+    exp = math.exp
+
+    cur_e = area + _PENALTY * violations
+    best_e = cur_e
+    best = (corner[:], cell[:])
+    temperature = schedule.initial_temperature
+    cooling = schedule.cooling
+    per_level = schedule.moves_per_temperature
+    record = obs.metrics.enabled
+    if record:
+        temp_series = obs.metrics.series(f"{_LABEL}.temperature")
+        energy_series = obs.metrics.series(f"{_LABEL}.energy")
+    rejected = worse = 0
+    for step in range(1, schedule.steps + 1):
+        d_area = d_viol = 0
+        roll = draw()
         if roll < 0.35:
             # Cluster move: relocate a switch together with its
             # processors onto the tiles around a new corner, swapping
-            # cells with the displaced occupants.
-            switch = rng.choice(self.switches)
-            moved = self._move_cluster(q, switch, rng.choice(self.corners), rng)
+            # tiles with the displaced occupants.
+            kind = _CLUSTER
+            s = choice(switch_list)
+            new = choice(corner_list)
+            targets = corner_tiles[new][:]
+            rng.shuffle(targets)
+            procs = procs_of[s]
+            targets = targets[: len(procs)]
+            # Every processor whose tile or corner can change: the
+            # switch's own, and the other occupants of the target tiles.
+            saved = [(p, cell[p]) for p in procs]
+            for c in targets:
+                q = owner[c]
+                if q >= 0 and switch_of[q] != s:
+                    saved.append((q, c))
+            for p, c in saved:
+                d_viol -= bad[corner[switch_of[p]]][c]
+            old = corner[s]
+            corner[s] = new
+            d_new, d_old = dist[new], dist[old]
+            for o in link_ends[s]:
+                d_area += d_new[corner[o]] - d_old[corner[o]]
+            for p, c in zip(procs, targets):
+                here = cell[p]
+                if here == c:
+                    continue
+                q = owner[c]
+                cell[p] = c
+                owner[c] = p
+                owner[here] = q
+                if q >= 0:
+                    cell[q] = here
+            for p, _ in saved:
+                d_viol += bad[corner[switch_of[p]]][cell[p]]
         elif roll < 0.6:
-            switch = rng.choice(self.switches)
-            q.switch_corner[switch] = rng.choice(self.corners)
-        elif roll < 0.9 and self.num_processors >= 2:
-            a, b = rng.sample(range(self.num_processors), 2)
-            q.processor_cell[a], q.processor_cell[b] = (
-                q.processor_cell[b],
-                q.processor_cell[a],
-            )
-            moved = (a, b)
+            kind = _SWITCH
+            s = choice(switch_list)
+            new = choice(corner_list)
+            old = corner[s]
+            corner[s] = new
+            d_new, d_old = dist[new], dist[old]
+            for o in link_ends[s]:
+                d_area += d_new[corner[o]] - d_old[corner[o]]
+            b_new, b_old = bad[new], bad[old]
+            for p in procs_of[s]:
+                d_viol += b_new[cell[p]] - b_old[cell[p]]
+        elif roll < 0.9 and num_procs >= 2:
+            kind = _SWAP
+            a, b = rng.sample(proc_list, 2)
+            ca = cell[a]
+            cb = cell[b]
+            cell[a] = cb
+            cell[b] = ca
+            owner[cb] = a
+            owner[ca] = b
+            b_a = bad[corner[switch_of[a]]]
+            b_b = bad[corner[switch_of[b]]]
+            d_viol = b_a[cb] - b_a[ca] + b_b[ca] - b_b[cb]
         else:
-            proc = rng.randrange(self.num_processors)
-            used = set(q.processor_cell.values())
-            free = [c for c in self.cells if c not in used]
-            if free:
-                q.processor_cell[proc] = rng.choice(free)
-                moved = (proc,)
-        self._reprice(p, q, switch, moved)
-        return q
-
-    def _move_cluster(
-        self, p: _Placement, switch: int, corner: Corner, rng: random.Random
-    ) -> List[int]:
-        """Relocate a switch and its processors around ``corner``, swapping
-        cells with the current occupants; returns the occupants displaced."""
-        p.switch_corner[switch] = corner
-        target_cells = list(self.corner_tiles[corner])
-        rng.shuffle(target_cells)
-        cell_owner = {cell: proc for proc, cell in p.processor_cell.items()}
-        displaced = []
-        for proc, target in zip(self.procs_of[switch], target_cells):
-            old_cell = p.processor_cell[proc]
-            if old_cell == target:
-                continue
-            other = cell_owner.get(target)
-            p.processor_cell[proc] = target
-            cell_owner[target] = proc
-            if other is not None and other != proc:
-                p.processor_cell[other] = old_cell
-                cell_owner[old_cell] = other
-                displaced.append(other)
+            a = rng.randrange(num_procs)
+            if spare:
+                kind = _FREE
+                c = choice([c for c in tile_list if owner[c] < 0])
+                here = cell[a]
+                cell[a] = c
+                owner[here] = -1
+                owner[c] = a
+                b_a = bad[corner[switch_of[a]]]
+                d_viol = b_a[c] - b_a[here]
             else:
-                del cell_owner[old_cell]
-        return displaced
-
-    def _reprice(
-        self,
-        p: _Placement,
-        q: _Placement,
-        switch: Optional[int],
-        moved: Iterable[int],
-    ) -> None:
-        """Update ``q``'s cached cost from ``p``'s, given that ``q``
-        differs only in ``switch``'s corner and in the tiles of
-        ``moved`` and of ``switch``'s processors."""
-        touched = set(moved)
-        if switch is not None:
-            touched.update(self.procs_of[switch])
-            ox, oy = p.switch_corner[switch]
-            nx, ny = q.switch_corner[switch]
-            delta = 0
-            for other in self.link_ends[switch]:
-                x, y = q.switch_corner[other]
-                delta += abs(nx - x) + abs(ny - y) - abs(ox - x) - abs(oy - y)
-            q.area += delta
-        # Tile (i, j) touches corner (x, y) iff 0 <= x - i <= 1 and
-        # 0 <= y - j <= 1, i.e. TileGrid.touches for an in-grid tile.
-        delta = 0
-        for proc in touched:
-            s = self.switch_of[proc]
-            i, j = q.processor_cell[proc]
-            x, y = q.switch_corner[s]
-            if not (0 <= x - i <= 1 and 0 <= y - j <= 1):
-                delta += 1
-            i, j = p.processor_cell[proc]
-            x, y = p.switch_corner[s]
-            if not (0 <= x - i <= 1 and 0 <= y - j <= 1):
-                delta -= 1
-        q.violations += delta
+                kind = _NOTHING
+        cand_e = (area + d_area) + _PENALTY * (violations + d_viol)
+        if cand_e <= cur_e or (
+            temperature > 0 and draw() < exp(-(cand_e - cur_e) / temperature)
+        ):
+            if cand_e > cur_e:
+                worse += 1
+            area += d_area
+            violations += d_viol
+            cur_e = cand_e
+            if cur_e < best_e:
+                best_e = cur_e
+                best = (corner[:], cell[:])
+        else:
+            rejected += 1
+            if kind == _CLUSTER:
+                corner[s] = old
+                for c in targets:
+                    owner[c] = -1
+                for p, c in saved:
+                    cell[p] = c
+                    owner[c] = p
+            elif kind == _SWITCH:
+                corner[s] = old
+            elif kind == _SWAP:
+                cell[a] = ca
+                cell[b] = cb
+                owner[ca] = a
+                owner[cb] = b
+            else:
+                cell[a] = here
+                owner[c] = -1
+                owner[here] = a
+        if step % per_level == 0:
+            if record:
+                temp_series.append(step, temperature)
+                energy_series.append(step, cur_e)
+            temperature *= cooling
+    live.area, live.violations = area, violations
+    if record:
+        m = obs.metrics
+        m.counter(f"{_LABEL}.accepted").inc(schedule.steps - rejected)
+        m.counter(f"{_LABEL}.accepted_worse").inc(worse)
+        m.counter(f"{_LABEL}.rejected").inc(rejected)
+    return best
 
 
 def place(
@@ -257,22 +391,19 @@ def place(
             f"{grid.width}x{grid.height} grid cannot hold "
             f"{network.num_processors} processors"
         )
-    moves = _Moves(network, grid)
+    tables = _Tables(network, grid)
     best: Optional[_Placement] = None
     best_key = None
     for restart in range(_RESTARTS):
         rng = random.Random(seed * _RESTARTS + restart)
         initial = _initial_placement(network, grid, rng)
-        sa = SimulatedAnnealing(
-            moves.energy,
-            moves.neighbor,
-            _SCHEDULE,
-            seed=seed * _RESTARTS + restart,
-            obs=obs,
-            label="floorplan.anneal",
-        )
+        # The anneal draws from a fresh generator on the same seed.
+        anneal_rng = random.Random(seed * _RESTARTS + restart)
         with obs.tracer.span("floorplan.restart", restart=restart):
-            candidate, _ = sa.run(initial)
+            corner, cell = _anneal(
+                tables, tables.live(initial), anneal_rng, _SCHEDULE, obs
+            )
+        candidate = tables.placement(initial, corner, cell)
         if _violations(network, grid, candidate) > 0:
             # Local repair only when the annealer left violations; a
             # feasible placement must not be perturbed.

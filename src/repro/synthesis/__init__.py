@@ -1,7 +1,7 @@
 """The design methodology (paper Section 3): recursive bisection,
 Best_Route, Fast_Color and exact-coloring finalization."""
 
-from repro.synthesis.annealing import AnnealSchedule, SimulatedAnnealing
+from repro.synthesis.annealing import AnnealSchedule
 from repro.synthesis.best_route import best_route
 from repro.synthesis.coloring import (
     build_adjacency,
@@ -60,7 +60,6 @@ __all__ = [
     "PortfolioResult",
     "PortfolioRun",
     "ProcessorMove",
-    "SimulatedAnnealing",
     "SynthesisState",
     "annealed_moves",
     "best_processor_move",

@@ -21,8 +21,15 @@ deltas; each price equals what ``preview_objective`` reads for
 when the pipe gains a communication.  If taking the communication off
 ``u -> v`` leaves the ``s-k`` estimate unchanged, then under any detour
 no estimate and no switch degree drops, and ``(excess, links)`` cannot
-fall.  :func:`_improve_comm` then skips the detours and tries only the
-shortcuts, so it commits the same move as a sweep over every candidate.
+fall.  :func:`_improve_comm` then skips the detours.  A shortcut that
+drops the interior switch ``w`` from ``… a, w, b …`` takes the
+communication off ``a -> w`` and ``w -> b`` and puts it on ``a -> b``;
+by the same argument it cannot lower the objective unless one of those
+two removals lowers its pipe's estimate, so :func:`_improve_comm` skips
+it before building a preview.  Both prunes read
+:meth:`~repro.synthesis.state.SynthesisState.hop_relief`, and
+:func:`_improve_comm` commits the same move as a sweep over every
+candidate.
 """
 
 from __future__ import annotations
@@ -175,7 +182,8 @@ def _improve_comm(
 ) -> bool:
     """Commit the first single-switch detour, then shortcut, of one hop
     of ``comm`` that lowers the objective.  Detours are priced only when
-    leaving the hop lowers its estimate (see the module docstring)."""
+    leaving the hop lowers its estimate, and a shortcut only when leaving
+    one of the two hops it replaces does (see the module docstring)."""
     old_path = state.route_of(comm)
     if not _uses_hop(old_path, s, k):
         return False
@@ -187,7 +195,11 @@ def _improve_comm(
             if score < before:
                 state.set_route(comm, candidate)
                 return True
-    for candidate in _shortcuts(old_path):
+    for idx in range(1, len(old_path) - 1):
+        a, w, b = old_path[idx - 1 : idx + 2]
+        if not (state.hop_relief(comm, a, w) or state.hop_relief(comm, w, b)):
+            continue
+        candidate = old_path[:idx] + old_path[idx + 1 :]
         changed = state.preview_route_change(comm, candidate)
         if state.preview_objective(changed, max_degree) < before:
             state.set_route(comm, candidate)

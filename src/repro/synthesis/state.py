@@ -559,8 +559,7 @@ class SynthesisState:
         (``s-k`` in path order) and puts it on ``u -> m`` and
         ``m -> v``.  Returns ``(relief, detours)``:
 
-        * ``relief`` — how the ``s-k`` estimate changes when ``comm``
-          leaves the hop (zero or negative);
+        * ``relief`` — :meth:`hop_relief` of ``u -> v``;
         * ``detours`` — ``(path, (excess, links))`` for each ``m`` in
           ``sorted(pipes_of(s) | pipes_of(k))`` off the route, exactly
           :meth:`preview_objective` of :meth:`preview_route_change` for
@@ -568,7 +567,6 @@ class SynthesisState:
           shared ``s-k`` one; they are priced lazily, so consume them
           before the next mutation.
         """
-        self._flush_dirty()
         path = self.routes[comm]
         at = path.index(s)
         if at + 1 < len(path) and path[at + 1] == k:
@@ -578,11 +576,17 @@ class SynthesisState:
             u, v = k, s
         else:
             raise SynthesisError(f"route for {comm} does not cross S{s}-S{k}")
+        relief = self.hop_relief(comm, u, v)
+        return relief, self._priced_detours(comm, path, at, relief, max_degree)
+
+    def hop_relief(self, comm: Communication, u: int, v: int) -> int:
+        """How the ``u-v`` estimate changes (zero or negative) when
+        ``comm`` leaves its hop ``u -> v``."""
+        self._flush_dirty()
         fwd = self.pipe_forward(u, v) - frozenset((comm,))
         bwd = self.pipe_forward(v, u)
         new = self.color_memo.fast_pair(fwd, bwd) if (fwd or bwd) else 0
-        relief = new - self._estimates.get((u, v) if u < v else (v, u), 0)
-        return relief, self._priced_detours(comm, path, at, relief, max_degree)
+        return new - self._estimates.get((u, v) if u < v else (v, u), 0)
 
     def _priced_detours(
         self,

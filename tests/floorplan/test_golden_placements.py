@@ -13,13 +13,17 @@ feasibility) for:
 Link delays in the simulator goldens come from these placements; this
 file pins them directly, so a placement change fails here first.  The
 networks are stored with the placements, so the check re-runs only
-``place()``; synthesis is pinned by its own goldens.
+``place()``; synthesis is pinned by its own goldens.  The fixture
+compares sorted maps, so two more pins cover what it cannot see: the
+record order of every floorplan (the setup cache stores records in
+insertion order), and the annealer's counters on one design.
 
 Regenerate the fixture after an *intentional* placement change with::
 
     REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/floorplan/test_golden_placements.py -q
 """
 
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -27,7 +31,9 @@ from pathlib import Path
 import pytest
 
 from repro.eval.runner import prepare
+from repro.eval.serialize import canonical_json, floorplan_to_dict
 from repro.floorplan import place
+from repro.obs import enabled_observability
 from repro.topology import Network, crossbar
 from repro.workloads.nas import BENCHMARK_NAMES, PAPER_LARGE_SIZE, PAPER_SMALL_SIZES
 
@@ -39,6 +45,10 @@ CASES = (
     + [(name, PAPER_SMALL_SIZES[name], seed) for seed in (1, 2) for name in BENCHMARK_NAMES]
 )
 CROSSBAR_CASE = "crossbar-8/seed0"
+
+# SHA-256 over the golden cases in sorted name order, each contributing
+# canonical_json(floorplan_to_dict(place(...))) and a newline.
+RECORD_ORDER_SHA256 = "53ff0fb3f3db9b4940e6c967605623984127da3d421efed92281974cf52ab647"
 
 
 def _case_names():
@@ -97,6 +107,10 @@ def _regenerate():
     }
 
 
+def _golden():
+    return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+
+
 def test_placements_match_golden():
     if os.environ.get("REPRO_REGEN_GOLDEN"):
         GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
@@ -105,11 +119,32 @@ def test_placements_match_golden():
             encoding="utf-8",
         )
         pytest.skip(f"regenerated {GOLDEN_PATH}")
-    golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+    golden = _golden()
     assert sorted(golden) == sorted(_case_names())
-    for case, entry in golden.items():
+    records = hashlib.sha256()
+    for case, entry in sorted(golden.items()):
         plan = place(_network_from_dict(entry["network"]), seed=entry["seed"])
         expected = {k: v for k, v in entry.items() if k not in ("network", "seed")}
         assert _plan_to_dict(plan) == expected, case
+        records.update((canonical_json(floorplan_to_dict(plan)) + "\n").encode("utf-8"))
+    # The fixture sorts its maps; the floorplan records keep their order.
+    assert records.hexdigest() == RECORD_ORDER_SHA256
     # The fixture must keep exercising the infeasible path.
     assert not golden[CROSSBAR_CASE]["feasible"]
+
+
+def test_anneal_counters_on_cg8():
+    """Eight restarts of 5,000 proposals each, one series point per
+    20 proposals; 78% of the proposals are rejected."""
+    entry = _golden()["cg-8/seed0"]
+    obs = enabled_observability()
+    place(_network_from_dict(entry["network"]), seed=entry["seed"], obs=obs)
+    snap = obs.metrics.snapshot()
+    assert snap["counters"] == {
+        "floorplan.anneal.accepted": 8_841,
+        "floorplan.anneal.accepted_worse": 47,
+        "floorplan.anneal.rejected": 31_159,
+    }
+    assert len(snap["series"]["floorplan.anneal.temperature"]) == 2_000
+    assert len(snap["series"]["floorplan.anneal.energy"]) == 2_000
+    assert snap["gauges"] == {"floorplan.link_area": 2, "floorplan.violations": 0}

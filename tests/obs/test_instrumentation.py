@@ -6,12 +6,13 @@ the result fields they mirror, and the canonical metric snapshot is
 itself byte-stable across identical runs.
 """
 
-from repro.eval.serialize import result_to_dict
+from repro.eval.serialize import floorplan_to_dict, result_to_dict
+from repro.floorplan import place
+from repro.floorplan.place import _RESTARTS, _SCHEDULE
 from repro.model.cliques import CliqueAnalysis
 from repro.obs import DISABLED, MANDATORY_COUNTERS, enabled_observability
 from repro.simulator import Engine, SimConfig, simulate
 from repro.simulator.openloop import run_open_loop, uniform_random
-from repro.synthesis.annealing import AnnealSchedule, SimulatedAnnealing
 from repro.synthesis.partition import Partitioner
 from repro.topology import crossbar, mesh
 from repro.workloads import PhaseProgramBuilder, benchmark
@@ -124,24 +125,22 @@ class TestSynthesisNeutrality:
         assert snap["counters"]["synthesis.color.pipes"] >= len(base.pipe_finals)
 
     def test_annealing_rng_unperturbed_by_obs(self):
-        def energy(x):
-            return float(x * x)
-
-        def neighbor(x, rng):
-            return x + rng.choice((-1, 1))
-
-        sched = AnnealSchedule(steps=400, moves_per_temperature=20)
-        base = SimulatedAnnealing(energy, neighbor, sched, seed=3).run(40)
+        """The floorplan annealer draws the same numbers with metrics on:
+        the same placement, and every proposal counted once."""
+        net = mesh(4, 2).network
+        base = place(net, seed=2)
         obs = enabled_observability()
-        observed = SimulatedAnnealing(
-            energy, neighbor, sched, seed=3, obs=obs, label="t.anneal"
-        ).run(40)
-        assert observed == base
-        snap = obs.metrics.snapshot()
-        accepted = snap["counters"]["t.anneal.accepted"]
-        rejected = snap["counters"]["t.anneal.rejected"]
-        assert accepted + rejected == sched.steps
-        assert len(snap["series"]["t.anneal.temperature"]) == 400 // 20
+        for call in (1, 2):
+            observed = place(net, seed=2, obs=obs)
+            assert floorplan_to_dict(observed) == floorplan_to_dict(base)
+            counters = obs.metrics.snapshot()["counters"]
+            proposals = _RESTARTS * _SCHEDULE.steps
+            assert proposals == 40_000
+            assert (
+                counters["floorplan.anneal.accepted"]
+                + counters["floorplan.anneal.rejected"]
+                == call * proposals
+            )
 
 
 class TestBundles:

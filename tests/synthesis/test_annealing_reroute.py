@@ -1,11 +1,9 @@
-"""Tests for the SA engine and the global reroute optimizer."""
-
-import random
+"""Tests for the annealing schedule and the global reroute optimizer."""
 
 import pytest
 
 from repro.model import CliqueAnalysis
-from repro.synthesis import AnnealSchedule, DesignConstraints, SimulatedAnnealing, SynthesisState
+from repro.synthesis import AnnealSchedule, DesignConstraints, SynthesisState
 from repro.synthesis.reroute import global_processor_moves, reduce_degree_violations
 
 from tests.fixtures import dense_stuck_state, pattern_from_phases
@@ -23,81 +21,6 @@ class TestAnnealSchedule:
     def test_validates_steps(self):
         with pytest.raises(ValueError):
             AnnealSchedule(steps=0)
-
-
-class TestSimulatedAnnealing:
-    def test_minimizes_quadratic(self):
-        """SA on f(x) = (x - 7)^2 over integers finds the minimum."""
-        sa = SimulatedAnnealing(
-            energy=lambda x: (x - 7) ** 2,
-            neighbor=lambda x, rng: x + rng.choice([-1, 1]),
-            schedule=AnnealSchedule(initial_temperature=20, steps=3000),
-            seed=3,
-        )
-        best, energy = sa.run(100)
-        assert best == 7
-        assert energy == 0
-
-    def test_returns_best_ever_not_final(self):
-        """Even if the walk wanders off, the incumbent is returned."""
-        seen = []
-
-        def energy(x):
-            seen.append(x)
-            return abs(x)
-
-        sa = SimulatedAnnealing(
-            energy=energy,
-            neighbor=lambda x, rng: x + rng.choice([-3, 3]),
-            schedule=AnnealSchedule(initial_temperature=100, cooling=0.99, steps=500),
-            seed=0,
-        )
-        best, e = sa.run(9)
-        assert e == min(abs(x) for x in seen + [9])
-
-    def test_deterministic_by_seed(self):
-        def make():
-            return SimulatedAnnealing(
-                energy=lambda x: (x - 3) ** 2,
-                neighbor=lambda x, rng: x + rng.choice([-1, 1]),
-                seed=11,
-            )
-
-        assert make().run(50) == make().run(50)
-
-    @staticmethod
-    def _series_steps(steps, moves_per_temperature):
-        from repro.obs import enabled_observability
-
-        obs = enabled_observability()
-        SimulatedAnnealing(
-            energy=lambda x: float(x * x),
-            neighbor=lambda x, rng: x + rng.choice((-1, 1)),
-            schedule=AnnealSchedule(
-                steps=steps, moves_per_temperature=moves_per_temperature
-            ),
-            seed=0,
-            obs=obs,
-            label="t.series",
-        ).run(5)
-        snap = obs.metrics.snapshot()["series"]
-        return (
-            [x for x, _ in snap["t.series.temperature"]],
-            [x for x, _ in snap["t.series.energy"]],
-        )
-
-    def test_series_flushes_trailing_partial_temperature_level(self):
-        """Regression: with steps not divisible by moves_per_temperature,
-        the final partial level's proposals were silently dropped from
-        the recorded temperature/energy series."""
-        temp_steps, energy_steps = self._series_steps(25, 10)
-        assert temp_steps == [10, 20, 25]
-        assert energy_steps == [10, 20, 25]
-
-    def test_series_unchanged_when_steps_divide_evenly(self):
-        temp_steps, energy_steps = self._series_steps(30, 10)
-        assert temp_steps == [10, 20, 30]
-        assert energy_steps == [10, 20, 30]
 
 
 class TestReduceDegreeViolations:

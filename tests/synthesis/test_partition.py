@@ -242,7 +242,7 @@ class TestCountedWork:
 
     @pytest.mark.parametrize(
         "n, seed, bisections, lookups",
-        [(16, 0, 4, 3_696), (24, 1, 11, 65_216), (32, 0, 14, 121_884)],
+        [(16, 0, 4, 3_672), (24, 1, 11, 63_098), (32, 0, 14, 117_290)],
     )
     def test_bisections_and_fast_color_lookups(self, n, seed, bisections, lookups):
         pattern = random_permutation_pattern(n, 4, seed=1)

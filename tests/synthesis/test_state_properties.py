@@ -15,14 +15,15 @@ patterns and operation sequences:
   what mutating and re-reading the state yields;
 * **detour pricing is exact** — ``preview_detours`` prices every detour
   exactly as ``preview_objective`` does, a hop whose relief is zero has
-  no improving detour, and the global reroute pass ends where the
+  no improving detour, a shortcut whose two dropped hops both have zero
+  relief does not improve, and the global reroute pass ends where the
   per-candidate sweep it replaced ends.
 """
 
 import random
 from unittest import mock
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.model import CliqueAnalysis
@@ -314,6 +315,35 @@ def test_detour_prices_equal_previews(seed, larger, steps, max_degree):
                         assert score >= before
 
 
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(min_value=0, max_value=500),
+    larger=st.booleans(),
+    steps=st.integers(min_value=0, max_value=8),
+    max_degree=st.sampled_from([2, 3, 4, MAX_DEGREE]),
+)
+def test_shortcuts_skipped_only_when_no_dropped_hop_has_relief(
+    seed, larger, steps, max_degree
+):
+    rng = random.Random(seed)
+    state = _split_state(seed % 3, rng) if larger else _prepared_state(seed % 3, rng)
+    _mutate_randomly(state, rng, steps)
+    before = state.objective(max_degree)
+    for comm in state.comms:
+        path = state.route_of(comm)
+        for u, v in zip(path, path[1:]):
+            assert state.hop_relief(comm, u, v) == fast_color(
+                state.pipe_forward(u, v) - {comm},
+                state.pipe_forward(v, u),
+                state.max_cliques,
+            ) - state.pipe_estimate(u, v)
+        for idx in range(1, len(path) - 1):
+            a, w, b = path[idx - 1 : idx + 2]
+            if state.hop_relief(comm, a, w) == state.hop_relief(comm, w, b) == 0:
+                shortcut = path[:idx] + path[idx + 1 :]
+                assert _oracle_price(state, comm, shortcut, max_degree) >= before
+
+
 def _reroute_outcome(state, constraints):
     moves = reroute.reduce_degree_violations(state, constraints)
     return moves, dict(state.routes), dict(state.proc_switch)
@@ -333,6 +363,9 @@ def test_reroute_matches_per_candidate_sweep_on_dense_state():
     steps=st.integers(min_value=0, max_value=8),
     max_degree=st.sampled_from([3, 4, 5]),
 )
+# A state where the committed shortcut relieves only one of its two
+# dropped hops, so a prune that needs both would miss it.
+@example(seed=0, steps=7, max_degree=3)
 def test_reroute_matches_per_candidate_sweep_on_random_states(seed, steps, max_degree):
     def build():
         rng = random.Random(seed)
