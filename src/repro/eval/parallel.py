@@ -36,6 +36,11 @@ Cache layout (under ``.repro-cache/`` by default)::
     setups/<sha256>.json    one setup's design and floorplan per
                             (name, n, seed); see setup_to_dict
 
+Each entry is the hex SHA-256 of the payload's canonical JSON, a
+newline, then that JSON.  An entry whose digest is missing or does not
+match its JSON reads as a miss and is dropped, like a torn one, so a
+flipped value is recomputed rather than served.
+
 Determinism
 -----------
 Serial (``jobs=None``), parallel (``jobs=N``) and cache-hit execution
@@ -162,8 +167,22 @@ class ResultCache:
     def _atomic_write(self, path: Path, payload: dict) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        tmp.write_bytes(canonical_json(payload).encode("utf-8"))
+        body = canonical_json(payload).encode("utf-8")
+        tmp.write_bytes(hashlib.sha256(body).hexdigest().encode("ascii") + b"\n" + body)
         os.replace(tmp, path)
+
+    @staticmethod
+    def _decode(data: bytes) -> Optional[dict]:
+        """The JSON object of an entry's bytes, or ``None`` when the
+        digest line is missing or wrong, or the JSON is not an object."""
+        digest, newline, body = data.partition(b"\n")
+        if not newline or digest != hashlib.sha256(body).hexdigest().encode("ascii"):
+            return None
+        try:
+            payload = json.loads(body)
+        except ValueError:
+            return None
+        return payload if isinstance(payload, dict) else None
 
     # -- result payloads (JSON) ---------------------------------------
 
@@ -172,19 +191,20 @@ class ResultCache:
         """The JSON object stored at ``path``, or ``None`` on a miss.
 
         A torn, unparsable or non-object entry (``[]``, ``"x"``,
-        ``null``) is corrupt: it is dropped and reads as a miss, so no
-        caller ever receives a payload that is not a dict.
+        ``null``), or one whose digest is missing or does not match its
+        JSON, is corrupt: it is dropped and reads as a miss, so no
+        caller ever receives a payload that is not the dict written.
         """
         try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
+            data = path.read_bytes()
         except FileNotFoundError:
             return None
-        except (OSError, ValueError):
-            payload = None
-        if isinstance(payload, dict):
-            return payload
-        ResultCache._drop(path)
-        return None
+        except OSError:
+            data = b""
+        payload = ResultCache._decode(data)
+        if payload is None:
+            ResultCache._drop(path)
+        return payload
 
     def get_result(self, key: str) -> Optional[dict]:
         return self._read_object(self.results_dir / f"{key}.json")
@@ -268,8 +288,8 @@ class ResultCache:
         for path in results:
             size = path.stat().st_size
             try:
-                payload = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, ValueError):
+                payload = self._decode(path.read_bytes())
+            except OSError:
                 payload = None
             family = self._classify_result(payload) if payload is not None else "eval"
             if family == "synthesis":

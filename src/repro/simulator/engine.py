@@ -26,9 +26,12 @@ in ascending id), and every way a sleeping component can become
 relevant again — an arriving flit, a returning credit, a queued inject
 time, a fault transition — schedules or performs its activation, so
 drivers can jump straight to :meth:`Engine.next_cycle` across idle
-gaps, or let :meth:`Engine.drain` do it.  The cycle-driven
-semantics are unchanged (see ``docs/SIMULATOR.md`` for the event model
-and its determinism rules); the byte-identity differential harness in
+gaps, or let :meth:`Engine.drain` do it.  After a moved cycle they
+call :meth:`Engine.fast_forward`, which applies in one step the cycles
+that exactly repeat it (long worms streaming with no allocation, stall
+or delivery).  The cycle-driven semantics are unchanged (see
+``docs/SIMULATOR.md`` for the event model, its determinism rules and
+the fast-forward rule); the byte-identity differential harness in
 ``tests/simulator/test_event_queue_diff.py`` holds this engine to the
 committed goldens under ``tests/simulator/golden/`` (frozen from the
 pre-event-queue engine).
@@ -46,6 +49,7 @@ transient faults leave no accounting residue after recovery.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
@@ -85,6 +89,9 @@ class Engine:
         self.routers: Dict[int, Router] = {}
         self.nics: Dict[int, Nic] = {}
         self._build_fabric(link_delays or {})
+        # Every flit or credit event lies within this many cycles of
+        # the cycle that pushed it: the fast-forward's window.
+        self._window = max(channel.delay for channel in self.channels.values())
 
         # The single event queue.  It has no cancellation — killed
         # packets' flits must still arrive so their buffer credits
@@ -135,6 +142,19 @@ class Engine:
         self.flits_injected = 0
         self.flit_hops = 0
         self.nic_wakeups = 0
+        # Counts the actions that read absolute time or change state the
+        # fast-forward does not compare: VC allocation attempts, head
+        # and tail moves, and visits to an active NIC without a stream.
+        # A cycle that adds to it is never repeated by fast_forward.
+        self._unsteady = 0
+        # Cycles fast_forward applied without stepping them (tests read
+        # it; it is not a published metric).
+        self.cycles_skipped = 0
+        # fast_forward's memory of the previous moved cycle: its number,
+        # its counters and its end state (None when it cannot repeat).
+        self._ff_cycle = -2
+        self._ff_counters: Tuple[int, ...] = ()
+        self._ff_state: Optional[tuple] = None
         self.packet_latencies: List[int] = []
         self._delivery_handler: Optional[DeliveryHandler] = None
         self._delivery_observers: List[DeliveryHandler] = []
@@ -271,7 +291,7 @@ class Engine:
         more (the open-loop drain, certificate replay) end with it."""
         while self.busy() and t < stop:
             if self.step(t):
-                t += 1
+                t += 1 + self.fast_forward(t, stop)
                 continue
             next_t = self.next_cycle(t)
             t = next_t if next_t is not None else t + 1
@@ -484,6 +504,7 @@ class Engine:
                 pid = front.packet.packet_id
                 assignment = ivc.assignment
                 if assignment is None or assignment[0] != pid:
+                    self._unsteady += 1
                     if not front.is_head:
                         continue
                     # Route + VC allocation for a new head flit.
@@ -566,8 +587,11 @@ class Engine:
                 hops += 1
                 moved = True
                 if flit.is_tail:
+                    self._unsteady += 1
                     self._clear_assignment(ivc)
                     out_channel.owner[out_vc] = None
+                elif flit.is_head:
+                    self._unsteady += 1
             # Emptiness check over the slots seen this cycle is enough:
             # a slot outside ``live`` was empty when the cycle's
             # arrivals were already in, and nothing below refills it.
@@ -604,26 +628,35 @@ class Engine:
                 self._active_nics.discard(p)
                 continue
             pending = nic.pending
-            if nic.streaming is None and pending:
-                inject_cycle, _, pkt = pending[0]
-                if inject_cycle <= t:
-                    # The heap head is the earliest (inject_cycle,
-                    # packet_id) among queued packets: stream it.
-                    vc = channel.free_vc()
-                    if vc is not None:
-                        channel.owner[vc] = pkt.packet_id
-                        nic.streaming = (pkt, vc)
-                        heapq.heappop(pending)
-                else:
-                    # Every queued packet injects in the future: sleep
-                    # until the earliest, the head's.
-                    calendar[inject_cycle].append((NIC_WAKE, p))
-                    self._active_nics.discard(p)
-                    continue
+            if nic.streaming is None:
+                # Reads the cycle (inject times) or parks the NIC.
+                self._unsteady += 1
+                if pending:
+                    inject_cycle, _, pkt = pending[0]
+                    if inject_cycle <= t:
+                        # The heap head is the earliest (inject_cycle,
+                        # packet_id) among queued packets: stream it.
+                        vc = channel.free_vc()
+                        if vc is not None:
+                            channel.owner[vc] = pkt.packet_id
+                            body = Flit(pkt, 1) if pkt.num_flits > 2 else None
+                            nic.streaming = (pkt, vc, body)
+                            heapq.heappop(pending)
+                    else:
+                        # Every queued packet injects in the future:
+                        # sleep until the earliest, the head's.
+                        calendar[inject_cycle].append((NIC_WAKE, p))
+                        self._active_nics.discard(p)
+                        continue
             if nic.streaming is not None:
-                pkt, vc = nic.streaming
+                pkt, vc, body = nic.streaming
                 if channel.credits[vc] > 0:
-                    flit = Flit(pkt, pkt.flits_sent)
+                    sent = pkt.flits_sent
+                    if 0 < sent < pkt.num_flits - 1:
+                        flit = body
+                    else:
+                        flit = Flit(pkt, sent)
+                        self._unsteady += 1
                     channel.credits[vc] -= 1
                     channel.busy_cycles += 1
                     pkt.flits_sent += 1
@@ -646,6 +679,217 @@ class Engine:
             # else: an eligible packet exists but no inject VC is free
             # (transiently possible only around kills); retry next cycle.
         return moved
+
+    # -- steady-state fast-forward ---------------------------------------
+
+    def fast_forward(self, t: int, stop: int) -> int:
+        """Apply the repeats of moved cycle ``t`` that are certain to
+        follow it, visiting no cycle from ``stop`` on; returns how many
+        cycles it applied, so the driver's next cycle is ``t + 1 + k``.
+
+        Drivers call it after every moved step.  Cycle ``t`` repeats
+        when it read no absolute time and changed nothing the end-state
+        comparison leaves out (no NIC wake-up, delivery, VC allocation,
+        head or tail move, stall, or NIC visited without a stream), no
+        fault or kill is in play, and its end state equals the end state
+        of cycle ``t - 1`` shifted by one cycle.  Then every later cycle
+        does what ``t`` did, until a streaming packet reaches its tail or
+        the window reaches the next pending event beyond it.  See
+        ``docs/SIMULATOR.md``, "Steady-state fast-forward".
+        """
+        counters = (
+            self.flit_hops,
+            self.flits_injected,
+            self._unsteady,
+            self.credit_stalls,
+            self.contention_stalls,
+            self.nic_wakeups,
+            self.delivered_packets,
+        )
+        prev_counters, self._ff_counters = self._ff_counters, counters
+        prev_cycle, self._ff_cycle = self._ff_cycle, t
+        if (
+            prev_cycle != t - 1
+            or counters[2:] != prev_counters[2:]
+            or self.faults is not None
+            or self._any_killed
+        ):
+            self._ff_state = None
+            return 0
+        state = self._steady_state(t)
+        prev_state, self._ff_state = self._ff_state, state
+        if state is None or state != prev_state:
+            return 0
+        # Horizon: the driver's stop, each streaming packet's body flits
+        # left, and the first pending event beyond the window (a NIC
+        # wake-up), which no shifted window list may reach.
+        window_end = t + self._window
+        k = stop - 1 - t
+        for p in self._active_nics:
+            pkt = self.nics[p].streaming[0]
+            k = min(k, pkt.num_flits - 1 - pkt.flits_sent)
+        calendar = self._events.calendar
+        later = [time for time in calendar.times if time > window_end]
+        if later:
+            k = min(k, min(later) - window_end - 1)
+        if k <= 0:
+            return 0
+        # Apply k repeats: counters grow by k times cycle t's change,
+        # channels that sent in cycle t (a flit event at t plus their
+        # own delay) gain k busy cycles, and the window moves k cycles
+        # on.  Buffers, credits, owners and round-robin pointers are
+        # periodic, so they stay as they are.
+        for d in range(1, self._window + 1):
+            for kind, payload in calendar.get(t + d, ()):
+                if kind == FLIT and payload[0].delay == d:
+                    payload[0].busy_cycles += k
+        for p in self._active_nics:
+            self.nics[p].streaming[0].flits_sent += k
+        self.flit_hops += k * (counters[0] - prev_counters[0])
+        self.flits_injected += k * (counters[1] - prev_counters[1])
+        self._events.retime(window_end, k)
+        end = t + k
+        self.cycles_simulated = end + 1
+        self.last_progress = end
+        if self._obs_on:
+            # Every sampled gauge is constant across the span.
+            while self._next_sample <= end:
+                self._sample_window(self._next_sample)
+        self.cycles_skipped += k
+        # The end state of cycle t + k is the recorded one, shifted.
+        self._ff_cycle = end
+        self._ff_counters = (self.flit_hops, self.flits_injected) + counters[2:]
+        return k
+
+    def _steady_state(self, t: int) -> Optional[tuple]:
+        """The end state of cycle ``t`` relative to ``t``, as the next
+        cycle reads it: the pending lists at ``t + 1 .. t + D`` (``D``
+        the largest channel delay), the credits, owners and ``rr`` of
+        every channel they name and of each streaming NIC's inject
+        channel, the active routers with their non-empty input buffers
+        and assignments, the active NICs with their stream records, and
+        ``flits_in_network``.  Channels, input VCs and flits compare by
+        identity.  ``None`` when no repeat can be shifted: an event due
+        by ``t``, a NIC wake-up in the window, or an active NIC without
+        a stream."""
+        calendar = self._events.calendar
+        times = calendar.times
+        if times and times[0] <= t:
+            return None
+        window: List[Optional[tuple]] = []
+        channels: Dict[Channel, None] = {}
+        for time in range(t + 1, t + self._window + 1):
+            bucket = calendar.get(time)
+            if bucket is None:
+                window.append(None)
+                continue
+            for kind, payload in bucket:
+                if kind == NIC_WAKE:
+                    return None
+                channels[payload[0]] = None
+            window.append(tuple(bucket))
+        nics = []
+        for p in sorted(self._active_nics):
+            nic = self.nics[p]
+            if nic.streaming is None:
+                return None
+            nics.append((p, nic.streaming))
+            channels[nic.inject_channel] = None
+        active = sorted(self._active_routers)
+        buffers = [
+            (ivc, tuple(ivc.buffer), ivc.assignment)
+            for sid in active
+            for _, _, ivc in self.routers[sid].slots
+            if ivc.buffer
+        ]
+        return (
+            window,
+            [(c, tuple(c.credits), tuple(c.owner), c.rr) for c in channels],
+            active,
+            buffers,
+            nics,
+            self.flits_in_network,
+        )
+
+    # -- invariants ---------------------------------------------------------
+
+    def check_invariants(self) -> None:
+        """Raise :class:`SimulationError` naming the first conservation
+        rule the current state breaks.
+
+        * ``credits``: per channel and VC, credits + flits buffered at
+          the receiver + flits in flight on it + credits in flight back
+          equal its buffer depth;
+        * ``flits``: ``flits_in_network`` equals the flits buffered plus
+          the flit events pending;
+        * ``ownership``: every owned VC is held by exactly one input-VC
+          assignment or NIC stream of its owner, and every assignment
+          and stream holds an owned VC;
+        * ``registry``: the packet-indexed assignment registry lists
+          exactly the input VCs whose assignment is that packet's.
+
+        Meaningful between cycles; tests call it, the engine does not.
+        """
+        in_flight: Counter = Counter()
+        credits_back: Counter = Counter()
+        flit_events = 0
+        for bucket in self._events.calendar.values():
+            for kind, payload in bucket:
+                if kind == FLIT:
+                    in_flight[payload[0], payload[1]] += 1
+                    flit_events += 1
+                elif kind == CREDIT:
+                    credits_back[payload] += 1
+        buffered = 0
+        for channel in self.channels.values():
+            for vc, credits in enumerate(channel.credits):
+                held = len(channel.rx[vc].buffer) if channel.rx else 0
+                buffered += held
+                total = credits + held + in_flight[channel, vc] + credits_back[channel, vc]
+                if total != channel.buffer_depth:
+                    raise SimulationError(
+                        f"invariant 'credits' broken on {channel.cid} vc{vc}: "
+                        f"{credits} credits + {held} buffered + "
+                        f"{in_flight[channel, vc]} in flight + "
+                        f"{credits_back[channel, vc]} returning != "
+                        f"depth {channel.buffer_depth}"
+                    )
+        if self.flits_in_network != buffered + flit_events:
+            raise SimulationError(
+                f"invariant 'flits' broken: flits_in_network "
+                f"{self.flits_in_network} != {buffered} buffered + "
+                f"{flit_events} in flight"
+            )
+        holders: Dict[Tuple[Channel, int], List[int]] = {}
+        registry: Dict[int, Dict[int, InputVC]] = {}
+        for router in self.routers.values():
+            for _, _, ivc in router.slots:
+                if ivc.assignment is not None:
+                    pid, out_channel, out_vc = ivc.assignment
+                    holders.setdefault((out_channel, out_vc), []).append(pid)
+                    registry.setdefault(pid, {})[id(ivc)] = ivc
+        for nic in self.nics.values():
+            if nic.streaming is not None:
+                pkt, vc = nic.streaming[:2]
+                holders.setdefault((nic.inject_channel, vc), []).append(pkt.packet_id)
+        for channel in self.channels.values():
+            for vc, owner in enumerate(channel.owner):
+                held_by = holders.pop((channel, vc), [])
+                if held_by != ([] if owner is None else [owner]):
+                    raise SimulationError(
+                        f"invariant 'ownership' broken on {channel.cid} vc{vc}: "
+                        f"owner {owner}, held by {held_by}"
+                    )
+        if holders:
+            raise SimulationError(
+                f"invariant 'ownership' broken: {len(holders)} assignments "
+                "hold a VC of a channel outside the fabric"
+            )
+        if registry != self._vc_assignments:
+            raise SimulationError(
+                "invariant 'registry' broken: _vc_assignments does not match "
+                "the input-VC assignments"
+            )
 
     # -- regressive recovery ---------------------------------------------
 

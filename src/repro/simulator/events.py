@@ -110,6 +110,26 @@ class EventQueue:
             del calendar[time]
         return time, kind, payload
 
+    def retime(self, last: int, k: int) -> None:
+        """Move every event due at or before ``last`` forward by ``k``
+        cycles (the engine's steady-state fast-forward).
+
+        Each time's list moves whole, so events keep their order.  No
+        pending time may lie in ``(last, last + k]``: then the moved
+        times stay below every other time, and adding ``k`` to them in
+        place keeps the heap a heap.
+        """
+        calendar = self.calendar
+        times = calendar.times
+        if any(last < time <= last + k for time in times):
+            raise ValueError(f"retime by {k} past {last} would merge pending times")
+        for i, time in enumerate(times):
+            if time <= last:
+                times[i] = time + k
+        # Latest first, so every target time is free when it is written.
+        for time in sorted((time for time in calendar if time <= last), reverse=True):
+            calendar[time + k] = calendar.pop(time)
+
     def __len__(self) -> int:
         return sum(len(bucket) for bucket in self.calendar.values())
 

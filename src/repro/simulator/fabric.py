@@ -12,6 +12,10 @@ receiver-side input VC buffers, the switch allocator's round-robin
 pointer for it, and its busy-cycle count.  A :class:`Router` holds only
 its slot table over the input VCs of its incoming channels, and a
 :class:`Nic` keeps its queue as one heap.
+
+Channels and input VCs compare by identity (``eq=False``): the engine's
+steady-state check compares event payloads and buffer assignments that
+hold them, and two channels are the same only if they are one object.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from repro.simulator.packet import ChannelId, Flit, Packet
 Endpoint = Tuple[str, int]  # ("router", switch_id) or ("nic", processor_id)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Channel:
     """One directed physical channel and all of its state.
 
@@ -82,7 +86,7 @@ class Channel:
         return sum(1 for owner in self.owner if owner is not None)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class InputVC:
     """Receiver-side buffer of one virtual channel.
 
@@ -140,7 +144,10 @@ class Nic:
     def __init__(self, processor: int, inject_channel: Channel) -> None:
         self.processor = processor
         self.inject_channel = inject_channel
-        self.streaming: Optional[Tuple[Packet, int]] = None  # (packet, vc)
+        # (packet, vc, body) while streaming: ``body`` is the one Flit
+        # object every body flit of the packet shares (``None`` for a
+        # packet of at most two flits, which has no body).
+        self.streaming: Optional[Tuple[Packet, int, Optional[Flit]]] = None
         # Min-heap of (inject_cycle, packet_id, packet) over queued
         # packets: the head streams next once its inject cycle has
         # come, and until then its cycle is when the NIC wakes.

@@ -192,7 +192,9 @@ def run_open_loop(
             for node in range(n):
                 submit(node, draw(node), t)
         if engine.step(t):
-            t += 1
+            # Fast-forward up to the next injection round or the horizon.
+            stop = crossings[ci] if ci < len(crossings) else horizon
+            t += 1 + engine.fast_forward(t, stop)
             continue
         # Nothing moved: the next injection round competes with the
         # engine's own wake-ups.

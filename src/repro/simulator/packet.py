@@ -51,22 +51,22 @@ class Packet:
 
 
 class Flit:
-    """One flit of a packet.
+    """One flit of a packet: flit ``index`` of ``packet.num_flits``.
 
-    A plain slotted class, not a dataclass: flits are the simulator's
-    highest-volume allocation, and the head/tail flags are precomputed
-    at construction because the router and engine hot loops test them
-    on every flit they touch.
+    A plain slotted class, not a dataclass: the head/tail flags are
+    precomputed at construction because the router and engine hot loops
+    test them on every flit they touch.  Heads and tails are objects of
+    their own; the body flits of a packet are one shared object, held in
+    its NIC's stream record, so the index is not kept.
     """
 
-    __slots__ = ("packet", "index", "is_head", "is_tail")
+    __slots__ = ("packet", "is_head", "is_tail")
 
     def __init__(self, packet: Packet, index: int) -> None:
         self.packet = packet
-        self.index = index
         self.is_head = index == 0
         self.is_tail = index == packet.num_flits - 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "H" if self.is_head else ("T" if self.is_tail else "B")
-        return f"Flit({self.packet.packet_id}:{self.index}{kind})"
+        return f"Flit({self.packet.packet_id}:{kind})"

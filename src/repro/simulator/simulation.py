@@ -92,7 +92,7 @@ def simulate(
                 )
             if engine.step(t):
                 replay.run_ready()
-                t += 1
+                t += 1 + engine.fast_forward(t, config.max_cycles + 1)
             else:
                 t = _advance(engine, replay, t)
 

@@ -152,6 +152,18 @@ class TestCacheKeys:
         assert not redone[0].cache_hit
         assert _payload_bytes(redone) == _payload_bytes(cold)
 
+    def test_non_object_entry_under_a_valid_digest_is_a_dropped_miss(self, setup, tmp_path):
+        """The digest vouches only for the bytes: a JSON array stored
+        with its own valid digest still fails the object check."""
+        cache = ResultCache(tmp_path / "cache")
+        cell = _grid_cells(setup)[0]
+        cold = run_cells([cell], cache=cache)
+        cache.put_result(cold[0].key, [])
+        path = cache.results_dir / f"{cold[0].key}.json"
+        assert len(_entry_json(path)) == 2
+        assert cache.get_result(cold[0].key) is None
+        assert not path.exists()
+
     def test_wrong_shape_cache_entry_is_a_dropped_miss(self, setup, tmp_path):
         """A JSON object another family (or an older schema) wrote under
         a performance cell's key is recomputed, not served as a hit."""
@@ -176,9 +188,9 @@ class TestCacheKeys:
         [
             lambda p: canonical_json(p)[:400],
             lambda p: "[1, 2]",
-            lambda p: canonical_json({"floorplan": p["floorplan"]}),
+            lambda p: {"floorplan": p["floorplan"]},
             # Another benchmark's design: its pattern name does not match.
-            lambda p: canonical_json(setup_to_dict(prepare("mg", 8, seed=0))),
+            lambda p: setup_to_dict(prepare("mg", 8, seed=0)),
             lambda p: _edit_design(p, "routes", 0, p["design"]["routes"][0][:3]),
             # A link to a switch the network does not have: TopologyError.
             lambda p: _edit_design(p, "links", 0, [0, p["design"]["num_switches"]]),
@@ -212,28 +224,100 @@ class TestCacheKeys:
     )
     def test_unusable_setup_entry_is_a_dropped_miss(self, setup, tmp_path, corrupt):
         """An entry that does not decode to the task's setup is rebuilt
-        and rewritten, never served."""
+        and rewritten, never served.  A damaged payload is written with
+        a valid digest, so it reaches the decoder; torn and non-object
+        text is written as raw bytes."""
         cache = ResultCache(tmp_path / "cache")
         task = SetupTask("cg", 8, seed=0)
         payload = setup_to_dict(setup)
         path = cache.setups_dir / f"{task.key()}.json"
-        cache.put_setup(task.key(), payload)
-        path.write_text(corrupt(copy.deepcopy(payload)), encoding="utf-8")
+        damaged = corrupt(copy.deepcopy(payload))
+        if isinstance(damaged, dict):
+            cache.put_setup(task.key(), damaged)
+            assert cache.get_setup(task.key()) == damaged
+        else:
+            cache.put_setup(task.key(), payload)
+            path.write_text(damaged, encoding="utf-8")
         rebuilt = prepare_setups([task], cache=cache)[task]
         assert rebuilt.floorplan == setup.floorplan
-        assert path.read_text(encoding="utf-8") == canonical_json(payload)
+        assert _entry_json(path) == canonical_json(payload)
+
+    @pytest.mark.parametrize(
+        "flip",
+        [
+            lambda p: p["design"]["stats"].update(bisections=p["design"]["stats"]["bisections"] + 1),
+            lambda p: p["design"].update(seed=p["design"]["seed"] + 1),
+        ],
+        ids=["stats", "seed"],
+    )
+    def test_flipped_setup_value_is_rebuilt(self, setup, tmp_path, flip):
+        """A value changed under an unchanged digest (a bit flip or a
+        hand edit) decodes fine, so only the digest can catch it: the
+        entry is dropped, rebuilt and rewritten."""
+        cache = ResultCache(tmp_path / "cache")
+        task = SetupTask("cg", 8, seed=0)
+        payload = setup_to_dict(setup)
+        cache.put_setup(task.key(), payload)
+        path = cache.setups_dir / f"{task.key()}.json"
+        flipped = copy.deepcopy(payload)
+        flip(flipped)
+        _rewrite_keeping_digest(path, flipped)
+        assert cache.get_setup(task.key()) is None
+        assert not path.exists()
+        rebuilt = prepare_setups([task], cache=cache)[task]
+        assert setup_to_dict(rebuilt) == payload
+        assert _entry_json(path) == canonical_json(payload)
+
+    def test_flipped_result_value_is_recomputed(self, setup, tmp_path):
+        """The cg-8 crossbar result with ``execution_cycles`` + 1 under
+        its old digest is a miss and is recomputed as 27,634."""
+        cache = ResultCache(tmp_path / "cache")
+        cell = _grid_cells(setup)[0]
+        cold = run_cells([cell], cache=cache)
+        assert cold[0].payload["execution_cycles"] == 27_634
+        path = cache.results_dir / f"{cold[0].key}.json"
+        flipped = dict(cold[0].payload, execution_cycles=27_635)
+        _rewrite_keeping_digest(path, flipped)
+        redone = run_cells([cell], cache=cache)
+        assert not redone[0].cache_hit
+        assert redone[0].payload["execution_cycles"] == 27_634
+        assert _payload_bytes(redone) == _payload_bytes(cold)
+
+    def test_entry_without_digest_is_a_dropped_miss(self, setup, tmp_path):
+        """The bare canonical JSON of the right payload, with no digest
+        line, is not trusted."""
+        cache = ResultCache(tmp_path / "cache")
+        cell = _grid_cells(setup)[0]
+        cold = run_cells([cell], cache=cache)
+        path = cache.results_dir / f"{cold[0].key}.json"
+        path.write_text(canonical_json(cold[0].payload), encoding="utf-8")
+        assert cache.get_result(cold[0].key) is None
+        assert not path.exists()
+
+
+def _entry_json(path):
+    """The canonical JSON an entry stores after its digest line."""
+    digest, _, body = path.read_text(encoding="utf-8").partition("\n")
+    assert len(digest) == 64
+    return body
+
+
+def _rewrite_keeping_digest(path, payload):
+    """Replace an entry's JSON with ``payload``'s, keeping its old digest."""
+    digest = path.read_text(encoding="utf-8").partition("\n")[0]
+    path.write_text(digest + "\n" + canonical_json(payload), encoding="utf-8")
 
 
 def _edit_design(payload, field, index, record):
-    """The entry text of ``payload`` with one design record replaced."""
+    """``payload`` with one design record replaced."""
     payload["design"][field][index] = record
-    return canonical_json(payload)
+    return payload
 
 
 def _edit_floorplan(payload, field, value):
-    """The entry text of ``payload`` with one floorplan field replaced."""
+    """``payload`` with one floorplan field replaced."""
     payload["floorplan"][field] = value
-    return canonical_json(payload)
+    return payload
 
 
 def _stretched_link(payload):

@@ -19,17 +19,21 @@ and open-loop load points.  Three consumers read it:
 
 Every runner takes the simulate/replay/open-loop callable as an
 argument so the same case definitions can drive any engine
-implementation.
+implementation, and checks ``Engine.check_invariants`` on every engine
+the run built, once the run is over.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from unittest import mock
 
 from repro.obs import enabled_observability
 from repro.eval.serialize import loadpoint_to_dict, result_to_dict
 from repro.simulator.config import SimConfig
+from repro.simulator.engine import Engine
 
 #: Cases too slow for the fast CI lane run only in the nightly sweep.
 FAST, SLOW = "fast", "slow"
@@ -62,6 +66,29 @@ class OpenLoopCase:
     name: str
     build: Callable[[], dict]  # -> kwargs for run_open_loop()
     lane: str = FAST
+
+
+@contextmanager
+def recorded_engines() -> Iterator[List[Engine]]:
+    """Collect every :class:`Engine` built inside the block."""
+    engines: List[Engine] = []
+    real_init = Engine.__init__
+
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        engines.append(self)
+
+    with mock.patch.object(Engine, "__init__", init):
+        yield engines
+
+
+def checked_run(fn: Callable, **kwargs):
+    """``fn(**kwargs)``, then the invariants of every engine it built."""
+    with recorded_engines() as engines:
+        result = fn(**kwargs)
+    for engine in engines:
+        engine.check_invariants()
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +225,7 @@ def run_trace_case(case: TraceCase, simulate_fn: Callable) -> dict:
     if case.obs_sample_every is not None:
         obs = enabled_observability(sample_every=case.obs_sample_every)
         kwargs["obs"] = obs
-    result = simulate_fn(**kwargs)
+    result = checked_run(simulate_fn, **kwargs)
     payload = {"result": result_to_dict(result)}
     if obs is not None:
         payload["obs"] = obs.metrics.snapshot(include_wall=False)
@@ -259,7 +286,7 @@ def replay_case_report(case: ReplayCase, replay_fn: Callable):
     """``replay_fn(**case.build())``, computed once per process."""
     key = (case.name, replay_fn)
     if key not in _REPLAY_REPORTS:
-        _REPLAY_REPORTS[key] = replay_fn(**case.build())
+        _REPLAY_REPORTS[key] = checked_run(replay_fn, **case.build())
     return _REPLAY_REPORTS[key]
 
 
@@ -319,7 +346,7 @@ def openloop_cases() -> Tuple[OpenLoopCase, ...]:
 
 
 def run_openloop_case(case: OpenLoopCase, open_loop_fn: Callable) -> dict:
-    return loadpoint_to_dict(open_loop_fn(**case.build()))
+    return loadpoint_to_dict(checked_run(open_loop_fn, **case.build()))
 
 
 # ---------------------------------------------------------------------------

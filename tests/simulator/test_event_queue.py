@@ -122,6 +122,43 @@ class TestProperties:
             assert q.peek_time() == expected_peek
 
 
+class TestRetime:
+    """``EventQueue.retime``, the fast-forward's window shift."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        events=st.lists(st.tuples(times, kinds), max_size=64),
+        last=times,
+        k=st.integers(min_value=1, max_value=30),
+    )
+    def test_pop_order_is_unchanged_apart_from_the_shift(self, events, last, k):
+        events = [(time, kind) for time, kind in events if not last < time <= last + k]
+        q = EventQueue()
+        for idx, (time, kind) in enumerate(events):
+            q.push(time, kind, idx)
+        q.retime(last, k)
+        heap = q.calendar.times
+        assert sorted(heap) == sorted(q.calendar)
+        assert all(heap[(i - 1) // 2] <= heap[i] for i in range(1, len(heap)))
+        expected = sorted(
+            (time + k if time <= last else time, idx)
+            for idx, (time, _) in enumerate(events)
+        )
+        popped = []
+        while q:
+            time, _, idx = q.pop()
+            popped.append((time, idx))
+        assert popped == expected
+
+    def test_merging_times_is_refused(self):
+        q = EventQueue()
+        q.push(3, FLIT, 0)
+        q.push(6, CREDIT, 1)
+        with pytest.raises(ValueError, match="would merge"):
+            q.retime(3, 3)
+        assert sorted(q.calendar.times) == [3, 6]
+
+
 def _engine(*faults, **cfg_kw):
     top = mesh(2, 1)
     state = FaultState(top.network, FaultScenario.of(*faults)) if faults else None
